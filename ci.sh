@@ -3,7 +3,8 @@
 #
 #   ./ci.sh          # tier-1 gate: release build + tests (ROADMAP.md)
 #   ./ci.sh quick    # fast pre-push loop: fmt, clippy, debug tests
-#   ./ci.sh smoke    # release smoke runs: check_all, recovery, DSE cache
+#   ./ci.sh smoke    # release smoke runs: check_all, recovery, DSE cache,
+#                    # noc_benchmark package tests
 #   ./ci.sh bench    # bench_guard vs BENCH_BASELINE.json (non-blocking)
 #   ./ci.sh full     # quick + tier-1 + smoke + bench, with stage timings
 #
@@ -98,6 +99,13 @@ smoke() {
   # cold one (see crates/bench/src/bin/dse_explore.rs).
   echo "==> smoke: dse_explore --ci-smoke (release)"
   cargo run "${CARGO_FLAGS[@]}" -q --release -p noc-bench --bin dse_explore -- --ci-smoke
+  # The repository benchmark is a package of its own, outside the
+  # workspace, so no other stage builds it. Its tests run every workload
+  # at a tiny scale and check digests and metric names: a product-API
+  # change that breaks the benchmark fails here.
+  echo "==> smoke: noc_benchmark package tests"
+  cargo test "${CARGO_FLAGS[@]}" -q \
+    --manifest-path crates/bench/src/bin/noc_benchmark/Cargo.toml
 }
 
 bench() {

@@ -17,7 +17,6 @@ use noc_rtl::verilog::EmitOptions;
 use noc_sim::config::SimConfig;
 use noc_sim::engine::Simulator;
 use noc_sim::setup::{flow_sources, gt_slot_tables};
-use noc_spec::units::Hertz;
 use noc_spec::{AppSpec, QosClass};
 use noc_synth::sunfloor::{synthesize, SynthesisConfig, SynthesizedDesign};
 use serde::{Deserialize, Serialize};
@@ -162,13 +161,10 @@ pub fn verify_design(
     }
     sim.run(cfg.verify_cycles);
     let stats = sim.stats();
-    let clock: Hertz = design.clock;
-    let width = sim.config().flit_width;
 
     // Delivered vs *offered*: the sources inject the spec's traffic (a
     // stochastic sample of it); the network's job is to deliver what was
     // actually offered during the measurement window.
-    let _ = (width, clock);
     let mut offered_packets = 0u64;
     let mut delivered_packets = 0u64;
     let mut gt_ok = true;
@@ -243,6 +239,7 @@ pub fn run_flow(
 mod tests {
     use super::*;
     use noc_spec::presets;
+    use noc_spec::units::Hertz;
 
     fn quick_cfg() -> FlowConfig {
         let mut cfg = FlowConfig::default();

@@ -52,6 +52,17 @@
 //!   is visible to any other node before `c + 1` — link traversal
 //!   already takes ≥ 1 cycle, making the cycle boundary a true
 //!   dependence frontier.
+//!
+//! ## Flat data plane
+//!
+//! Per-hop state lives in flat arrays indexed by input port
+//! `link * vcs + vc`: credits, wormhole locks, and a fixed ring of
+//! `buffer_depth` slots per port, which the credit algebra never lets
+//! overflow. Rings and wire FIFOs hold `u32` handles into one flit pool
+//! that recycles handles last-in first-out, so the live flits stay
+//! cache-resident on any fabric size. Each ring caches a summary of its
+//! front flit for arbitration. DESIGN.md ("Flat data plane") has the
+//! details.
 
 use crate::config::ErrorControl;
 use crate::config::{Arbitration, FlowControl, SimConfig};
@@ -59,7 +70,7 @@ use crate::flit::{Flit, PacketId};
 use crate::gals::DomainMap;
 use crate::qos::SlotTable;
 use crate::recovery::RecoveryNotice;
-use crate::stats::SimStats;
+use crate::stats::{FlowStats, SimStats};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::traffic::{Destination, InjectionProcess, TrafficSource};
 use noc_spec::fault::{corruption_draw, FaultPlan, FaultTarget, RecoveryConfig};
@@ -70,19 +81,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
-/// Per-link simulation state: the wire pipeline plus the input buffer at
-/// the receiving end.
+/// Per-link wire state. The receive buffers and credit counters at the
+/// link's ends live in the simulator's flat per-port arrays.
 #[derive(Debug, Clone)]
 struct LinkState {
     /// Pipeline stages on the wire (traversal = stages + 1 cycles).
     stages: u32,
-    /// Flits in flight on the wire: `(arrival_cycle, flit)`, FIFO.
-    in_flight: VecDeque<(u64, Flit)>,
-    /// Input buffer at the receiver, one FIFO per VC.
-    bufs: Vec<VecDeque<Flit>>,
-    /// Free downstream buffer slots per VC, as seen by the sender.
-    credits: Vec<usize>,
+    /// Launch-to-arrival cycles: `stages + 1`, plus the GALS
+    /// synchronizer penalty on a domain-crossing link. Cached at
+    /// construction and recomputed by `set_domains`.
+    latency: u64,
+    /// Flits in flight on the wire: `(arrival_cycle, pool handle)`,
+    /// FIFO.
+    in_flight: VecDeque<(u64, u32)>,
     /// Cycle of the most recent launch (one flit per cycle per link).
     launched_at: u64,
     /// ACK/NACK: the link is busy retransmitting until this cycle.
@@ -95,21 +108,189 @@ struct LinkState {
 }
 
 impl LinkState {
-    fn new(stages: u32, vcs: usize, depth: usize) -> LinkState {
+    fn new(stages: u32) -> LinkState {
         LinkState {
             stages,
+            latency: u64::from(stages) + 1,
             in_flight: VecDeque::new(),
-            bufs: vec![VecDeque::new(); vcs],
-            credits: vec![depth; vcs],
             launched_at: u64::MAX,
             retry_until: 0,
             carried: 0,
             stalls: 0,
         }
     }
+}
 
-    fn buffered_flits(&self) -> usize {
-        self.bufs.iter().map(VecDeque::len).sum::<usize>() + self.in_flight.len()
+/// [`Front::hop`] of a flit that names no output itself, and the
+/// route lock of an input port that holds no wormhole.
+const NO_OUTPUT: u32 = u32::MAX;
+
+/// The owner of an output port no wormhole holds.
+const NO_PORT: u32 = u32::MAX;
+
+/// What arbitration needs of a port's front flit, refreshed whenever the
+/// front changes, so the switch phases scan a dense array instead of
+/// dereferencing buffered flits and their route `Arc`s.
+#[derive(Debug, Clone, Copy)]
+struct Front {
+    /// A head flit's next route link (`NO_OUTPUT` past the route's end
+    /// and for body/tail flits, which follow the port's route lock).
+    hop: u32,
+    head: bool,
+    /// Guaranteed-throughput priority.
+    gt: bool,
+}
+
+impl Front {
+    const NONE: Front = Front {
+        hop: NO_OUTPUT,
+        head: false,
+        gt: false,
+    };
+
+    fn of(f: &Flit) -> Front {
+        let hop = if f.is_head {
+            f.route
+                .as_ref()
+                .and_then(|r| r.get(f.hop))
+                .map_or(NO_OUTPUT, |l| l.0 as u32)
+        } else {
+            NO_OUTPUT
+        };
+        Front {
+            hop,
+            head: f.is_head,
+            gt: f.priority,
+        }
+    }
+}
+
+/// Every flit inside the fabric — on a wire or in a receive buffer —
+/// addressed by a `u32` handle. Wires and rings hold handles, not flits,
+/// and free handles are reused last-in first-out, so the live flits stay
+/// in a small, cache-resident block however large the fabric is.
+#[derive(Debug, Clone, Default)]
+struct FlitPool {
+    flits: Vec<Option<Flit>>,
+    free: Vec<u32>,
+}
+
+impl FlitPool {
+    fn insert(&mut self, flit: Flit) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.flits[h as usize] = Some(flit);
+                h
+            }
+            None => {
+                self.flits.push(Some(flit));
+                u32::try_from(self.flits.len() - 1).expect("flit pool fits u32")
+            }
+        }
+    }
+
+    fn take(&mut self, h: u32) -> Flit {
+        self.free.push(h);
+        self.flits[h as usize].take().expect("live flit handle")
+    }
+
+    fn get(&self, h: u32) -> &Flit {
+        self.flits[h as usize].as_ref().expect("live flit handle")
+    }
+}
+
+/// One input port's ring inside [`RecvRings::slots`].
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    /// Offset of the front flit within the ring.
+    head: u32,
+    /// Flits buffered.
+    len: u32,
+    /// Summary of the front flit (meaningful while `len > 0`).
+    front: Front,
+}
+
+/// The receive buffers of every input port, flattened: port
+/// `p = link * vcs + vc` owns the fixed ring
+/// `slots[p * depth..(p + 1) * depth]` of [`FlitPool`] handles. The
+/// credit algebra bounds a port's occupancy by the buffer depth (a flit
+/// holds its credit from launch until it leaves the buffer), so a ring
+/// never grows.
+#[derive(Debug, Clone)]
+struct RecvRings {
+    depth: u32,
+    rings: Vec<Ring>,
+    slots: Vec<u32>,
+}
+
+impl RecvRings {
+    fn new(ports: usize, depth: usize) -> RecvRings {
+        RecvRings {
+            depth: u32::try_from(depth).expect("buffer depth fits u32"),
+            rings: vec![
+                Ring {
+                    head: 0,
+                    len: 0,
+                    front: Front::NONE,
+                };
+                ports
+            ],
+            slots: vec![0; ports * depth],
+        }
+    }
+
+    fn len(&self, p: usize) -> usize {
+        self.rings[p].len as usize
+    }
+
+    /// The handle of port `p`'s front flit.
+    fn front(&self, p: usize) -> Option<u32> {
+        let r = &self.rings[p];
+        (r.len > 0).then(|| self.slots[p * self.depth as usize + r.head as usize])
+    }
+
+    /// The summary of port `p`'s front flit, if the port holds one.
+    fn front_info(&self, p: usize) -> Option<Front> {
+        let r = &self.rings[p];
+        (r.len > 0).then_some(r.front)
+    }
+
+    /// Appends the pooled flit `h` to port `p`'s ring.
+    fn push(&mut self, pool: &FlitPool, p: usize, h: u32) {
+        let r = &mut self.rings[p];
+        assert!(
+            r.len < self.depth,
+            "receive buffer overflow past buffer_depth"
+        );
+        if r.len == 0 {
+            r.front = Front::of(pool.get(h));
+        }
+        let mut at = r.head + r.len;
+        if at >= self.depth {
+            at -= self.depth;
+        }
+        r.len += 1;
+        self.slots[p * self.depth as usize + at as usize] = h;
+    }
+
+    /// Removes port `p`'s front flit, returning its handle.
+    fn pop(&mut self, pool: &FlitPool, p: usize) -> Option<u32> {
+        let h = self.front(p)?;
+        let r = &mut self.rings[p];
+        r.head += 1;
+        if r.head == self.depth {
+            r.head = 0;
+        }
+        r.len -= 1;
+        if r.len > 0 {
+            let next = self.slots[p * self.depth as usize + r.head as usize];
+            r.front = Front::of(pool.get(next));
+        }
+        Some(h)
+    }
+
+    fn total(&self) -> usize {
+        self.rings.iter().map(|r| r.len as usize).sum()
     }
 }
 
@@ -173,15 +354,25 @@ impl AdjacencyCache {
     }
 }
 
+/// Packet ids are `(source index << PACKET_SEQ_BITS) | seq`.
+const PACKET_SEQ_BITS: u32 = 40;
+
+/// The index of the source that generated `packet`. A retransmission
+/// keeps its packet's id, so this holds for every payload flit.
+fn source_of_packet(packet: PacketId) -> usize {
+    (packet.0 >> PACKET_SEQ_BITS) as usize
+}
+
 /// One registered traffic source plus its injection queue.
 #[derive(Debug, Clone)]
 struct SourceSlot {
     source: TrafficSource,
     queue: VecDeque<Flit>,
-    /// Packet-id counter of this source. Ids are `(index << 40) | seq`:
-    /// disjoint across sources, ascending within one, so id order is
-    /// `(source, generation)` order no matter which engine — or which
-    /// mesh shard — generated the packet.
+    /// Packet-id counter of this source. Ids are
+    /// `(index << PACKET_SEQ_BITS) | seq`: disjoint across sources,
+    /// ascending within one, so id order is `(source, generation)` order
+    /// no matter which engine — or which mesh shard — generated the
+    /// packet.
     next_packet: u64,
     /// This source's private RNG stream, seeded
     /// [`noc_par::point_seed`]`(base_seed, index)`. Sources never share
@@ -360,14 +551,21 @@ pub struct Simulator {
     // maps: every link has exactly one source and one destination node,
     // so `(link, vc)` globally identifies an input or output port and
     // the hot phases index instead of walking trees.
+    /// Free downstream buffer slots per input port, as seen by the
+    /// port's sender, indexed by `link * vcs + vc`.
+    credits: Vec<u32>,
+    /// Receive buffer of every input port (same index).
+    bufs: RecvRings,
+    /// The flits on wires and in receive buffers.
+    pool: FlitPool,
     /// Round-robin pointer per output link, indexed by `LinkId`.
     rr: Vec<u32>,
-    /// Current output assignment of an in-progress packet, indexed by
-    /// `input link * vcs + vc`.
-    route_lock: Vec<Option<LinkId>>,
-    /// Owning `(input link, vc)` of each allocated output port, indexed
-    /// by `output link * vcs + vc`.
-    owner: Vec<Option<(LinkId, usize)>>,
+    /// Output link assigned to the in-progress packet of each input
+    /// port (`NO_OUTPUT` when none), indexed by `input link * vcs + vc`.
+    route_lock: Vec<u32>,
+    /// Owning input port of each allocated output port (`NO_PORT` when
+    /// free), indexed by `output link * vcs + vc`.
+    owner: Vec<u32>,
     /// Flits buffered at each link's receiving end (all VCs), indexed
     /// by `LinkId`. Lets the hot phases skip empty links without
     /// touching their per-VC FIFOs.
@@ -405,7 +603,16 @@ pub struct Simulator {
     /// Base seed of the per-source RNG streams (source `i` draws from
     /// a stream seeded [`noc_par::point_seed`]`(base_seed, i)`).
     base_seed: u64,
+    /// Statistics. `flows`, `link_flits`, `link_stalls` and
+    /// `measured_cycles` are built from the dense accumulators below by
+    /// `finalize_stats`; every other field is updated in place.
     stats: SimStats,
+    /// Per-flow accumulators, indexed by flow slot (flows in order of
+    /// first registration; `flow_ids` maps a slot back to its id).
+    flow_acc: Vec<FlowStats>,
+    flow_ids: Vec<FlowId>,
+    /// Flow slot of each source, indexed by source index.
+    flow_of_source: Vec<u32>,
     generation_enabled: bool,
     trace: Option<Trace>,
     /// All flits ever injected into the fabric (not only measured ones).
@@ -574,7 +781,7 @@ impl Simulator {
         let links: Vec<LinkState> = topo
             .links()
             .iter()
-            .map(|l| LinkState::new(l.pipeline_stages, cfg.vcs, cfg.buffer_depth))
+            .map(|l| LinkState::new(l.pipeline_stages))
             .collect();
         let adj = AdjacencyCache::build(&topo);
         let domains = DomainMap::single_domain(&topo);
@@ -607,9 +814,12 @@ impl Simulator {
         let eject_count = adj.eject_ports.len();
         let switch_count = adj.switches.len();
         Simulator {
+            credits: vec![u32::try_from(cfg.buffer_depth).expect("buffer depth fits u32"); ports],
+            bufs: RecvRings::new(ports, cfg.buffer_depth),
+            pool: FlitPool::default(),
             rr: vec![0; links.len()],
-            route_lock: vec![None; ports],
-            owner: vec![None; ports],
+            route_lock: vec![NO_OUTPUT; ports],
+            owner: vec![NO_PORT; ports],
             buf_count: vec![0; links.len()],
             node_buffered: vec![0; nodes],
             link_dst: topo.links().iter().map(|l| l.dst).collect(),
@@ -628,6 +838,9 @@ impl Simulator {
             adj,
             base_seed: 0xC0FF_EE00,
             stats: SimStats::default(),
+            flow_acc: Vec::new(),
+            flow_ids: Vec::new(),
+            flow_of_source: Vec::new(),
             generation_enabled: true,
             trace: None,
             injected_flits_total: 0,
@@ -730,6 +943,14 @@ impl Simulator {
     /// Installs a GALS clock-domain map.
     pub fn set_domains(&mut self, domains: DomainMap) {
         self.domains = domains;
+        for (l, tl) in self.links.iter_mut().zip(self.topo.links()) {
+            let crossing = if self.domains.crosses(tl.src, tl.dst) {
+                self.cfg.sync_penalty
+            } else {
+                0
+            };
+            l.latency = u64::from(l.stages) + 1 + crossing;
+        }
     }
 
     /// Installs a TDMA slot table at an injecting NI.
@@ -754,12 +975,20 @@ impl Simulator {
             source.vc,
             self.cfg.vcs
         );
-        self.stats.flows.entry(source.flow).or_default();
         let idx = self.sources.len();
         if let Err(pos) = self.active_nis.binary_search(&source.ni) {
             self.active_nis.insert(pos, source.ni);
         }
         self.sources_by_ni[source.ni.0].push(idx);
+        let slot = match self.source_of_flow.get(&source.flow) {
+            Some(&first) => self.flow_of_source[first],
+            None => {
+                self.flow_ids.push(source.flow);
+                self.flow_acc.push(FlowStats::default());
+                (self.flow_ids.len() - 1) as u32
+            }
+        };
+        self.flow_of_source.push(slot);
         self.source_of_flow.entry(source.flow).or_insert(idx);
         // Classify for event-driven generation: Constant processes fire
         // on a closed-form schedule and draw no randomness, so they can
@@ -783,7 +1012,7 @@ impl Simulator {
         self.sources.push(SourceSlot {
             source,
             queue: VecDeque::new(),
-            next_packet: (idx as u64) << 40,
+            next_packet: (idx as u64) << PACKET_SEQ_BITS,
             rng: StdRng::seed_from_u64(noc_par::point_seed(self.base_seed, idx as u64)),
             rerouted: false,
             swap_pending: false,
@@ -801,6 +1030,12 @@ impl Simulator {
     }
 
     /// Collected statistics.
+    ///
+    /// `flows`, `link_flits`, `link_stalls` and `measured_cycles` are
+    /// built from per-cycle accumulators only by [`run`](Self::run),
+    /// [`drain`](Self::drain) and [`finish`](Self::finish); after bare
+    /// [`step`](Self::step)s they show the last build. Every other field
+    /// is current after each step.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
@@ -836,7 +1071,7 @@ impl Simulator {
     /// link states. Test/diagnostic use.
     #[doc(hidden)]
     pub fn recount_flits_in_network(&self) -> usize {
-        self.links.iter().map(LinkState::buffered_flits).sum()
+        self.bufs.total() + self.links.iter().map(|l| l.in_flight.len()).sum::<usize>()
     }
 
     /// Ground-truth recount of [`flits_queued`] straight from the source
@@ -1324,20 +1559,6 @@ impl Simulator {
                 (ent.si, ent.flow, ent.vc, ent.priority, ent.injected_at);
             let slot = &mut self.sources[si];
             let route = slot.source.destination.pick(&mut slot.rng);
-            let mut flits = Flit::packetize(
-                packet,
-                Some(flow),
-                route,
-                self.sources[si].source.packet_flits,
-                vc,
-                priority,
-                injected_at,
-            );
-            if self.epoch > 0 {
-                for f in &mut flits {
-                    f.epoch = self.epoch;
-                }
-            }
             self.stats.recovery.retransmitted_packets += 1;
             if let Some(trace) = &mut self.trace {
                 trace.record(TraceEvent {
@@ -1348,9 +1569,7 @@ impl Simulator {
                     link: None,
                 });
             }
-            let ni = self.sources[si].source.ni;
-            self.note_queued(ni, flits.len());
-            self.sources[si].queue.extend(flits);
+            self.queue_packet(si, packet, route, vc, priority, injected_at);
         }
         // Cheap step-phase guard: the earliest re-emission still pending.
         self.retransmit_next_due = self
@@ -1365,11 +1584,14 @@ impl Simulator {
     /// in-flight count). Test/diagnostic use.
     #[doc(hidden)]
     pub fn debug_link_state(&self, link: LinkId) -> (Vec<usize>, Vec<usize>, usize) {
-        let l = &self.links[link.0];
+        let ports = link.0 * self.cfg.vcs..(link.0 + 1) * self.cfg.vcs;
         (
-            l.credits.clone(),
-            l.bufs.iter().map(|b| b.len()).collect(),
-            l.in_flight.len(),
+            self.credits[ports.clone()]
+                .iter()
+                .map(|&c| c as usize)
+                .collect(),
+            ports.map(|p| self.bufs.len(p)).collect(),
+            self.links[link.0].in_flight.len(),
         )
     }
 
@@ -1381,9 +1603,10 @@ impl Simulator {
         link: LinkId,
         vc: usize,
     ) -> Option<(Option<noc_spec::FlowId>, bool, bool, usize, bool)> {
-        self.links[link.0].bufs[vc]
-            .front()
-            .map(|f| (f.flow, f.is_head, f.is_tail, f.hop, f.route.is_some()))
+        self.bufs.front(link.0 * self.cfg.vcs + vc).map(|h| {
+            let f = self.pool.get(h);
+            (f.flow, f.is_head, f.is_tail, f.hop, f.route.is_some())
+        })
     }
 
     /// Debug: the owner map of a switch. Test/diagnostic use.
@@ -1394,7 +1617,11 @@ impl Simulator {
             .iter()
             .flat_map(|&out_l| {
                 (0..self.cfg.vcs).filter_map(move |vc| {
-                    self.owner[out_l.0 * self.cfg.vcs + vc].map(|src| ((out_l, vc), src))
+                    let src = self.owner[out_l.0 * self.cfg.vcs + vc] as usize;
+                    (src != NO_PORT as usize).then(|| {
+                        let vcs = self.cfg.vcs;
+                        ((out_l, vc), (LinkId(src / vcs), src % vcs))
+                    })
                 })
             })
             .collect();
@@ -1452,6 +1679,9 @@ impl Simulator {
             );
         }
         self.stats.measured_cycles = self.cycle.saturating_sub(self.cfg.warmup);
+        for (&flow, acc) in self.flow_ids.iter().zip(&self.flow_acc) {
+            self.stats.flows.entry(flow).or_default().clone_from(acc);
+        }
         self.stats.link_flits = self
             .links
             .iter()
@@ -1471,9 +1701,9 @@ impl Simulator {
     /// Whether all link credits are back at their initial value — a
     /// conservation invariant that must hold on a drained network.
     pub fn credits_restored(&self) -> bool {
-        self.links
+        self.credits
             .iter()
-            .all(|l| l.credits.iter().all(|&c| c == self.cfg.buffer_depth))
+            .all(|&c| c as usize == self.cfg.buffer_depth)
     }
 
     fn measuring(&self) -> bool {
@@ -1578,17 +1808,23 @@ impl Simulator {
         // is then the newest, whose packet id labels the flush tail.
         let mut doomed: Vec<Flit> = Vec::new();
         for vc in 0..vcs {
-            while let Some(f) = self.links[li].bufs[vc].pop_front() {
+            while let Some(f) = self.buf_pop(li * vcs + vc) {
                 self.buf_count[li] -= 1;
                 self.node_buffered[dst.0] -= 1;
                 doomed.push(f);
             }
         }
-        doomed.extend(self.links[li].in_flight.drain(..).map(|(_, f)| f));
+        let pool = &mut self.pool;
+        doomed.extend(
+            self.links[li]
+                .in_flight
+                .drain(..)
+                .map(|(_, h)| pool.take(h)),
+        );
         let mut last_packet: Vec<Option<PacketId>> = vec![None; vcs];
         for f in doomed {
             last_packet[f.vc] = Some(f.packet);
-            self.links[li].credits[f.vc] += 1;
+            self.credits[li * vcs + f.vc] += 1;
             self.account_drop(link, &f, Some(event));
         }
         // A packet caught half-injected at the upstream NI: the rest of
@@ -1626,7 +1862,7 @@ impl Simulator {
         // exact) and counts as one injected flit, matched by its
         // eventual ejection or drop.
         for (vc, last) in last_packet.iter().enumerate() {
-            if self.route_lock[li * vcs + vc].is_some() {
+            if self.route_lock[li * vcs + vc] != NO_OUTPUT {
                 let tail = Flit {
                     packet: last.unwrap_or(PacketId(u64::MAX)),
                     flow: None,
@@ -1641,9 +1877,9 @@ impl Simulator {
                     corrupt: 0,
                     hop_retries: 0,
                 };
-                debug_assert!(self.links[li].credits[vc] > 0, "drained buffer has space");
-                self.links[li].credits[vc] -= 1;
-                self.links[li].bufs[vc].push_back(tail);
+                debug_assert!(self.credits[li * vcs + vc] > 0, "drained buffer has space");
+                self.credits[li * vcs + vc] -= 1;
+                self.buf_push(li * vcs + vc, tail);
                 self.note_buffered(li);
                 self.injected_flits_total += 1;
                 self.in_network_count += 1;
@@ -1651,10 +1887,22 @@ impl Simulator {
         }
     }
 
+    /// Appends `flit` to input port `p`'s receive buffer.
+    fn buf_push(&mut self, p: usize, flit: Flit) {
+        let h = self.pool.insert(flit);
+        self.bufs.push(&self.pool, p, h);
+    }
+
+    /// Removes and returns the front flit of input port `p`.
+    fn buf_pop(&mut self, p: usize) -> Option<Flit> {
+        let h = self.bufs.pop(&self.pool, p)?;
+        Some(self.pool.take(h))
+    }
+
     /// Removes the front flit of `(link, vc)`'s input buffer, updating
     /// occupancy counters and returning the credit upstream.
     fn pop_buffered(&mut self, li: usize, vc: usize) -> Flit {
-        let flit = self.links[li].bufs[vc].pop_front().expect("front exists");
+        let flit = self.buf_pop(li * self.cfg.vcs + vc).expect("front exists");
         self.buf_count[li] -= 1;
         self.node_buffered[self.link_dst[li].0] -= 1;
         self.return_credit(li, vc);
@@ -1688,9 +1936,10 @@ impl Simulator {
 
     /// Applies the credit returns queued during the previous cycle.
     fn apply_credit_returns(&mut self) {
+        let vcs = self.cfg.vcs;
         for i in 0..self.credit_returns.len() {
             let (li, vc) = self.credit_returns[i];
-            self.links[li as usize].credits[vc as usize] += 1;
+            self.credits[li as usize * vcs + vc as usize] += 1;
         }
         self.credit_returns.clear();
     }
@@ -1741,12 +1990,12 @@ impl Simulator {
                 continue;
             }
             for vc in 0..vcs {
-                while let Some(flit) = self.links[li].bufs[vc].front() {
+                while let Some(front) = self.bufs.front_info(li * vcs + vc) {
                     // Followers of a beheaded stream die unconditionally
                     // (even if the link meanwhile repaired: their head
                     // is gone, the fragment can never complete).
                     if let Some(event) = self.drop_lock[li * vcs + vc] {
-                        if flit.is_head {
+                        if front.head {
                             break; // unreachable: the tail clears first
                         }
                         let flit = self.pop_buffered(li, vc);
@@ -1757,16 +2006,8 @@ impl Simulator {
                         self.account_drop(LinkId(li), &flit, Some(event));
                         continue;
                     }
-                    let desired = if flit.is_head {
-                        match flit.route.as_ref().and_then(|r| r.get(flit.hop)) {
-                            Some(&l) => l,
-                            None => break,
-                        }
-                    } else {
-                        match self.route_lock[li * vcs + vc] {
-                            Some(l) => l,
-                            None => break,
-                        }
+                    let Some(desired) = self.desired_output(li * vcs + vc, front) else {
+                        break;
                     };
                     if self.link_up[desired.0] {
                         break;
@@ -1783,8 +2024,8 @@ impl Simulator {
                         // The stream's head had claimed the dead output
                         // before it died; release the claim like a
                         // normal tail traversal would.
-                        self.owner[desired.0 * vcs + vc] = None;
-                        self.route_lock[li * vcs + vc] = None;
+                        self.owner[desired.0 * vcs + vc] = NO_PORT;
+                        self.route_lock[li * vcs + vc] = NO_OUTPUT;
                     }
                     self.account_drop(desired, &flit, event);
                 }
@@ -1880,8 +2121,9 @@ impl Simulator {
                 Some(&(arrive, _)) if arrive <= cycle => {}
                 _ => break,
             }
-            let (_, mut flit) = self.links[li].in_flight.pop_front().expect("front exists");
-            if flit.corrupt != 0 {
+            let (_, mut h) = self.links[li].in_flight.pop_front().expect("front exists");
+            if self.pool.get(h).corrupt != 0 {
+                let mut flit = self.pool.take(h);
                 match self.cfg.error_control {
                     // SECDED at the receiver of every hop: a single-bit
                     // upset is corrected in place; anything wider is
@@ -1924,14 +2166,9 @@ impl Simulator {
                                 u64::from(flit.hop_retries),
                                 &mut flit,
                             );
-                            let tl = self.topo.link(LinkId(li));
-                            let crossing = if self.domains.crosses(tl.src, tl.dst) {
-                                self.cfg.sync_penalty
-                            } else {
-                                0
-                            };
-                            let arrival = cycle + self.links[li].stages as u64 + 1 + crossing;
-                            self.links[li].in_flight.push_front((arrival, flit));
+                            let arrival = cycle + self.links[li].latency;
+                            let h = self.pool.insert(flit);
+                            self.links[li].in_flight.push_front((arrival, h));
                             if self.event_mode {
                                 let bucket = (arrival & self.wheel_mask) as usize;
                                 self.wheel[bucket].push(li as u32);
@@ -1945,8 +2182,10 @@ impl Simulator {
                     }
                     ErrorControl::None | ErrorControl::EndToEnd => {}
                 }
+                h = self.pool.insert(flit);
             }
-            self.links[li].bufs[flit.vc].push_back(flit);
+            let p = li * self.cfg.vcs + self.pool.get(h).vc;
+            self.bufs.push(&self.pool, p, h);
             self.note_buffered(li);
         }
     }
@@ -2006,7 +2245,7 @@ impl Simulator {
         let cycle = self.cycle;
         let measuring = self.measuring();
         for vc in 0..self.cfg.vcs {
-            let Some(flit) = self.links[l.0].bufs[vc].pop_front() else {
+            let Some(flit) = self.buf_pop(l.0 * self.cfg.vcs + vc) else {
                 continue;
             };
             self.buf_count[l.0] -= 1;
@@ -2084,8 +2323,10 @@ impl Simulator {
                 // Flits without a flow (synthetic fault-flush
                 // tails) conserve the flit accounting but stay
                 // out of the measured statistics.
-                let fstats = flit.flow.map(|f| self.stats.flows.entry(f).or_default());
-                if let Some(fs) = fstats {
+                if let Some(flow) = flit.flow {
+                    let slot = self.flow_of_source[source_of_packet(flit.packet)] as usize;
+                    debug_assert_eq!(self.flow_ids[slot], flow, "packet id names its flow");
+                    let fs = &mut self.flow_acc[slot];
                     fs.delivered_flits += 1;
                     if flit.is_tail && !rejected {
                         let latency = cycle.saturating_sub(flit.injected_at);
@@ -2177,27 +2418,31 @@ impl Simulator {
         self.switch_scratch.clear();
     }
 
-    /// The output link the front flit of `(in_l, vc)` wants, if any:
-    /// its next route hop for a head flit, the wormhole route lock for
-    /// a body/tail flit. Ownership and credit checks are *not*
+    /// The output link wanted by `front`, the front flit of input port
+    /// `p`: its next route hop for a head flit, the wormhole route lock
+    /// for a body/tail flit. Ownership and credit checks are *not*
     /// applied — callers use this as a superset request filter.
-    fn desired_output(&self, in_l: LinkId, vc: usize) -> Option<LinkId> {
-        let flit = self.links[in_l.0].bufs[vc].front()?;
-        if flit.is_head {
-            flit.route.as_ref().and_then(|r| r.get(flit.hop)).copied()
+    fn desired_output(&self, p: usize, front: Front) -> Option<LinkId> {
+        if front.head {
+            (front.hop != NO_OUTPUT).then_some(LinkId(front.hop as usize))
         } else {
-            self.route_lock[in_l.0 * self.cfg.vcs + vc]
+            let l = self.route_lock[p];
+            (l != NO_OUTPUT).then_some(LinkId(l as usize))
         }
     }
 
     /// The request-mask bit (relative to `out_range`) of the front flit
-    /// of `(in_l, vc)`, or 0 when it wants no output of this switch.
-    fn request_bit(&self, in_l: LinkId, vc: usize, out_range: (usize, usize)) -> u64 {
-        match self.desired_output(in_l, vc) {
+    /// of input port `p`, or 0 when it wants no output of this switch.
+    fn request_bit(&self, p: usize, out_range: (usize, usize)) -> u64 {
+        let desired = self
+            .bufs
+            .front_info(p)
+            .and_then(|front| self.desired_output(p, front));
+        match desired {
             Some(d) => {
-                let p = self.out_pos_of[d.0] as usize;
-                if p >= out_range.0 && p < out_range.1 {
-                    1 << (p - out_range.0)
+                let pos = self.out_pos_of[d.0] as usize;
+                if pos >= out_range.0 && pos < out_range.1 {
+                    1 << (pos - out_range.0)
                 } else {
                     0
                 }
@@ -2240,7 +2485,7 @@ impl Simulator {
                 continue;
             }
             for vc in 0..vcs {
-                mask |= self.request_bit(in_l, vc, out_range);
+                mask |= self.request_bit(in_l.0 * vcs + vc, out_range);
             }
         }
         while mask != 0 {
@@ -2249,7 +2494,7 @@ impl Simulator {
             let out_l = self.adj.out_flat[out_start + bit as usize];
             if let Some((in_l, vc)) = self.arbitrate_output(sw, out_l) {
                 let later = u64::MAX.checked_shl(bit + 1).unwrap_or(0);
-                mask |= self.request_bit(in_l, vc, out_range) & later;
+                mask |= self.request_bit(in_l.0 * vcs + vc, out_range) & later;
             }
         }
     }
@@ -2278,7 +2523,9 @@ impl Simulator {
         if modulus == 0 {
             return None;
         }
-        let pointer = self.rr[out_l.0] as usize % modulus;
+        // The pointer is only ever written below, already reduced.
+        let pointer = self.rr[out_l.0] as usize;
+        debug_assert!(pointer < modulus, "round-robin pointer in range");
         // Best = (cyclic distance from pointer, widx, in_l, vc).
         let mut best: Option<(usize, usize, LinkId, usize)> = None;
         let mut gt_best: Option<(usize, usize, LinkId, usize)> = None;
@@ -2288,37 +2535,33 @@ impl Simulator {
                 continue;
             }
             for vc in 0..vcs {
-                let Some(flit) = self.links[in_l.0].bufs[vc].front() else {
+                let p = in_l.0 * vcs + vc;
+                let Some(front) = self.bufs.front_info(p) else {
                     continue;
                 };
-                let desired = if flit.is_head {
-                    match flit.route.as_ref().and_then(|r| r.get(flit.hop)) {
-                        Some(&l) => l,
-                        None => continue, // malformed route: leave buffered
-                    }
-                } else {
-                    match self.route_lock[in_l.0 * vcs + vc] {
-                        Some(l) => l,
-                        None => continue, // head not yet allocated
-                    }
-                };
-                if desired != out_l {
+                // A head past its route's end (malformed) or a body flit
+                // whose head is not yet allocated wants nothing.
+                if self.desired_output(p, front) != Some(out_l) {
                     continue;
                 }
                 // Wormhole ownership per (output, vc).
                 let owner = self.owner[out_l.0 * vcs + vc];
-                let ok = if flit.is_head {
-                    owner.is_none()
+                let ok = if front.head {
+                    owner == NO_PORT
                 } else {
-                    owner == Some((in_l, vc))
+                    owner as usize == p
                 };
                 if !ok {
                     continue;
                 }
                 let widx = pos * vcs + vc;
-                let key = (widx + modulus - pointer) % modulus;
+                let key = if widx >= pointer {
+                    widx - pointer
+                } else {
+                    widx + modulus - pointer
+                };
                 let cand = Some((key, widx, in_l, vc));
-                if flit.priority && gt_best.is_none_or(|(k, ..)| key < k) {
+                if front.gt && gt_best.is_none_or(|(k, ..)| key < k) {
                     gt_best = cand;
                 }
                 if best.is_none_or(|(k, ..)| key < k) {
@@ -2336,7 +2579,7 @@ impl Simulator {
         let (_, widx, in_l, vc) = winner?;
 
         // Flow control on the output link.
-        if self.links[out_l.0].credits[vc] == 0 {
+        if self.credits[out_l.0 * vcs + vc] == 0 {
             if cycle >= self.cfg.warmup {
                 self.links[out_l.0].stalls += 1;
             }
@@ -2354,8 +2597,8 @@ impl Simulator {
         }
 
         // Transfer.
-        let mut flit = self.links[in_l.0].bufs[vc]
-            .pop_front()
+        let mut flit = self
+            .buf_pop(in_l.0 * vcs + vc)
             .expect("candidate had a front flit");
         self.buf_count[in_l.0] -= 1;
         self.node_buffered[sw.0] -= 1;
@@ -2363,15 +2606,15 @@ impl Simulator {
         if flit.is_head {
             flit.hop += 1;
             if !flit.is_tail {
-                self.owner[out_l.0 * vcs + vc] = Some((in_l, vc));
-                self.route_lock[in_l.0 * vcs + vc] = Some(out_l);
+                self.owner[out_l.0 * vcs + vc] = (in_l.0 * vcs + vc) as u32;
+                self.route_lock[in_l.0 * vcs + vc] = out_l.0 as u32;
             }
         } else if flit.is_tail {
-            self.owner[out_l.0 * vcs + vc] = None;
-            self.route_lock[in_l.0 * vcs + vc] = None;
+            self.owner[out_l.0 * vcs + vc] = NO_PORT;
+            self.route_lock[in_l.0 * vcs + vc] = NO_OUTPUT;
         }
         self.launch(out_l, flit);
-        self.rr[out_l.0] = ((widx + 1) % modulus) as u32;
+        self.rr[out_l.0] = if widx + 1 == modulus { 0 } else { widx + 1 } as u32;
         Some((in_l, vc))
     }
 
@@ -2433,42 +2676,56 @@ impl Simulator {
     /// Polls source `si` and queues its packet if the process fires.
     fn generate_source(&mut self, si: usize) {
         let cycle = self.cycle;
-        let measuring = self.measuring();
-        let epoch = self.epoch;
         let slot = &mut self.sources[si];
-        let Some(mut flits) = slot
-            .source
-            .generate(cycle, &mut slot.next_packet, &mut slot.rng)
-        else {
+        if !slot.source.process.fire(cycle, &mut slot.rng) {
             return;
-        };
-        if epoch > 0 {
-            for f in &mut flits {
-                f.epoch = epoch;
-            }
         }
-        if measuring {
-            self.stats
-                .flows
-                .entry(slot.source.flow)
-                .or_default()
-                .injected_packets += 1;
+        let route = slot.source.destination.pick(&mut slot.rng);
+        let packet = PacketId(slot.next_packet);
+        slot.next_packet += 1;
+        let (vc, priority, flow, rerouted) = (
+            slot.source.vc,
+            slot.source.priority,
+            slot.source.flow,
+            slot.rerouted,
+        );
+        if self.measuring() {
+            self.flow_acc[self.flow_of_source[si] as usize].injected_packets += 1;
         }
-        if slot.rerouted {
+        if rerouted {
             self.stats.rerouted_packets += 1;
             if let Some(trace) = &mut self.trace {
                 trace.record(TraceEvent {
                     cycle,
                     kind: TraceKind::Reroute,
-                    packet: flits[0].packet,
-                    flow: flits[0].flow,
+                    packet,
+                    flow: Some(flow),
                     link: None,
                 });
             }
         }
-        let ni = slot.source.ni;
-        let n = flits.len();
-        self.sources[si].queue.extend(flits);
+        self.queue_packet(si, packet, route, vc, priority, cycle);
+    }
+
+    /// Queues one packet of source `si` at its NI, stamped with the
+    /// current routing epoch. The flits stream straight into the source
+    /// queue, with no intermediate buffer.
+    fn queue_packet(
+        &mut self,
+        si: usize,
+        packet: PacketId,
+        route: Arc<[LinkId]>,
+        vc: usize,
+        priority: bool,
+        injected_at: u64,
+    ) {
+        let epoch = self.epoch;
+        let slot = &mut self.sources[si];
+        let (flow, n, ni) = (slot.source.flow, slot.source.packet_flits, slot.source.ni);
+        slot.queue.extend(
+            Flit::packetize(packet, Some(flow), route, n, vc, priority, injected_at)
+                .map(|f| Flit { epoch, ..f }),
+        );
         self.note_queued(ni, n);
     }
 
@@ -2520,7 +2777,7 @@ impl Simulator {
                 }
             }
         }
-        self.links[out_l.0].credits[flit.vc] > 0
+        self.credits[out_l.0 * self.cfg.vcs + flit.vc] > 0
     }
 
     /// Phase 4b (scan): every NI with sources tries to inject one flit.
@@ -2652,18 +2909,16 @@ impl Simulator {
     /// domain-crossing links).
     fn launch(&mut self, link: LinkId, mut flit: Flit) {
         let cycle = self.cycle;
+        let port = link.0 * self.cfg.vcs + flit.vc;
+        debug_assert!(self.credits[port] > 0, "launch without credit");
+        self.credits[port] -= 1;
         let l = &mut self.links[link.0];
-        debug_assert!(l.credits[flit.vc] > 0, "launch without credit");
         debug_assert_ne!(l.launched_at, cycle, "two launches in one cycle");
-        l.credits[flit.vc] -= 1;
         l.launched_at = cycle;
-        let topo_link = self.topo.link(link);
-        let crossing = if self.domains.crosses(topo_link.src, topo_link.dst) {
-            self.cfg.sync_penalty
-        } else {
-            0
-        };
-        let arrival = cycle + l.stages as u64 + 1 + crossing;
+        if cycle >= self.cfg.warmup {
+            l.carried += 1;
+        }
+        let arrival = cycle + l.latency;
         if self.corrupt_enabled {
             self.corrupt_roll(link, cycle, 0, &mut flit);
         }
@@ -2676,9 +2931,6 @@ impl Simulator {
                 link: Some(link),
             });
         }
-        if cycle >= self.cfg.warmup {
-            self.links[link.0].carried += 1;
-        }
         // Boundary launch: the receiver lives in another shard. The
         // sender-side effects above (credit, launch stamp, carried) are
         // real; the flit itself travels through the boundary channel
@@ -2690,8 +2942,8 @@ impl Simulator {
                 return;
             }
         }
-        let l = &mut self.links[link.0];
-        l.in_flight.push_back((arrival, flit));
+        let h = self.pool.insert(flit);
+        self.links[link.0].in_flight.push_back((arrival, h));
         if self.event_mode {
             // Schedule the delivery on the calendar wheel. The wheel is
             // strictly larger than any link latency, so the bucket the
@@ -2746,9 +2998,6 @@ impl Simulator {
         }
     }
 }
-
-// `launch` uses `self.links` and `self.topo` disjointly; the borrow is
-// split manually above by indexing. (No unsafe involved.)
 
 // ---------------------------------------------------------------------
 // Partitioned-engine plumbing (crate-internal; see `crate::partition`).
@@ -2882,7 +3131,8 @@ impl Simulator {
     /// cycle was computed by the sender; it is strictly in the future,
     /// so wheel bucketing cannot alias.
     pub(crate) fn part_import_flit(&mut self, li: usize, arrival: u64, flit: Flit) {
-        self.links[li].in_flight.push_back((arrival, flit));
+        let h = self.pool.insert(flit);
+        self.links[li].in_flight.push_back((arrival, h));
         let bucket = (arrival & self.wheel_mask) as usize;
         self.wheel[bucket].push(li as u32);
     }
@@ -2912,13 +3162,19 @@ impl Simulator {
         let dst = self.link_dst[li];
         let mut doomed: Vec<Flit> = Vec::new();
         for vc in 0..vcs {
-            while let Some(f) = self.links[li].bufs[vc].pop_front() {
+            while let Some(f) = self.buf_pop(li * vcs + vc) {
                 self.buf_count[li] -= 1;
                 self.node_buffered[dst.0] -= 1;
                 doomed.push(f);
             }
         }
-        doomed.extend(self.links[li].in_flight.drain(..).map(|(_, f)| f));
+        let pool = &mut self.pool;
+        doomed.extend(
+            self.links[li]
+                .in_flight
+                .drain(..)
+                .map(|(_, h)| pool.take(h)),
+        );
         for _ in &doomed {
             self.dropped_flits_total += 1;
             self.in_network_count -= 1;
@@ -2930,8 +3186,8 @@ impl Simulator {
 
     /// Restores `n` credits on `(link, vc)` immediately (control-phase
     /// credit motion, like the serial `fail_link` drain).
-    pub(crate) fn part_add_credits(&mut self, li: usize, vc: usize, n: usize) {
-        self.links[li].credits[vc] += n;
+    pub(crate) fn part_add_credits(&mut self, li: usize, vc: usize, n: u32) {
+        self.credits[li * self.cfg.vcs + vc] += n;
     }
 
     /// Shard side of `fail_link`'s upstream purge: removes the rest of
@@ -2965,14 +3221,15 @@ impl Simulator {
     /// Whether `(link, vc)` holds a wormhole route lock (receiver-shard
     /// state; `fail_link` flushes such streams with a synthetic tail).
     pub(crate) fn part_route_locked(&self, li: usize, vc: usize) -> bool {
-        self.route_lock[li * self.cfg.vcs + vc].is_some()
+        self.route_lock[li * self.cfg.vcs + vc] != NO_OUTPUT
     }
 
     /// Takes one credit from `(link, vc)` for a flush tail
     /// (sender-shard state).
     pub(crate) fn part_take_credit(&mut self, li: usize, vc: usize) {
-        debug_assert!(self.links[li].credits[vc] > 0, "drained buffer has space");
-        self.links[li].credits[vc] -= 1;
+        let port = li * self.cfg.vcs + vc;
+        debug_assert!(self.credits[port] > 0, "drained buffer has space");
+        self.credits[port] -= 1;
     }
 
     /// Inserts `fail_link`'s synthetic flush tail into the receiver
@@ -2994,7 +3251,7 @@ impl Simulator {
             corrupt: 0,
             hop_retries: 0,
         };
-        self.links[li].bufs[vc].push_back(tail);
+        self.buf_push(li * self.cfg.vcs + vc, tail);
         self.note_buffered(li);
         self.injected_flits_total += 1;
         self.in_network_count += 1;
@@ -3074,30 +3331,13 @@ impl Simulator {
         &mut self,
         si: usize,
         packet: PacketId,
-        flow: FlowId,
         vc: usize,
         priority: bool,
         injected_at: u64,
     ) {
         let slot = &mut self.sources[si];
         let route = slot.source.destination.pick(&mut slot.rng);
-        let mut flits = Flit::packetize(
-            packet,
-            Some(flow),
-            route,
-            slot.source.packet_flits,
-            vc,
-            priority,
-            injected_at,
-        );
-        if self.epoch > 0 {
-            for f in &mut flits {
-                f.epoch = self.epoch;
-            }
-        }
-        let ni = self.sources[si].source.ni;
-        self.note_queued(ni, flits.len());
-        self.sources[si].queue.extend(flits);
+        self.queue_packet(si, packet, route, vc, priority, injected_at);
     }
 
     /// The parent's control step for the cycle the shards are about to
@@ -3230,13 +3470,12 @@ impl Simulator {
                 let ent = self.retransmit.get_mut(&packet).expect("collected above");
                 ent.due = None;
                 self.retransmit_waiting -= 1;
-                let (si, flow, vc, priority, injected_at) =
-                    (ent.si, ent.flow, ent.vc, ent.priority, ent.injected_at);
+                let (si, vc, priority, injected_at) =
+                    (ent.si, ent.vc, ent.priority, ent.injected_at);
                 let ni = self.sources[si].source.ni;
                 shards[shard_of_node[ni.0] as usize].part_emit_retransmit(
                     si,
                     packet,
-                    flow,
                     vc,
                     priority,
                     injected_at,
@@ -3425,6 +3664,45 @@ mod tests {
         assert_eq!(fs.delivered_packets, 1);
         // One cycle per link: 3 links -> latency 3.
         assert_eq!(fs.total_latency, route.len() as u64);
+    }
+
+    #[test]
+    fn generated_packet_is_queued_whole() {
+        // A 3-flit packet generated at cycle 0: its head injects in the
+        // same cycle, the other two flits wait in the source queue.
+        let (t, ni0, _, route) = line();
+        let mut sim = Simulator::new(t, SimConfig::default().with_warmup(0));
+        sim.add_source(one_shot_source(ni0, route, 3));
+        sim.step();
+        assert_eq!(sim.injected_flits_total(), 1);
+        assert_eq!(sim.flits_queued(), 2);
+        sim.finish();
+        assert_eq!(sim.stats().flows[&FlowId(0)].injected_packets, 1);
+    }
+
+    #[test]
+    fn stepping_then_finish_equals_run() {
+        let cores: Vec<CoreId> = (0..9).map(CoreId).collect();
+        let m = mesh(3, 3, &cores, 32).expect("valid");
+        let sources = crate::patterns::uniform_random(&m, 0.2, 3).expect("ok");
+        let build = || {
+            let mut sim = Simulator::new(m.topology.clone(), SimConfig::default().with_warmup(100))
+                .with_seed(11);
+            for s in &sources {
+                sim.add_source(s.clone());
+            }
+            sim
+        };
+        let mut ran = build();
+        ran.run(1_200);
+        let mut stepped = build();
+        for _ in 0..1_200 {
+            stepped.step();
+        }
+        stepped.finish();
+        let stats = stepped.stats();
+        assert!(stats.flows.values().any(|f| f.delivered_packets > 0));
+        assert_eq!(stats, ran.stats(), "per-flow and link stats included");
     }
 
     #[test]

@@ -59,7 +59,8 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// Builds the `n`-flit sequence of one packet over the given route.
+    /// The `len` flits of one packet over the given route, head first.
+    /// Lazy, so a caller can stream them straight into a queue.
     ///
     /// # Panics
     ///
@@ -72,24 +73,24 @@ impl Flit {
         vc: usize,
         priority: bool,
         injected_at: u64,
-    ) -> Vec<Flit> {
+    ) -> impl Iterator<Item = Flit> {
         assert!(len > 0, "a packet has at least one flit");
-        (0..len)
-            .map(|i| Flit {
-                packet,
-                flow,
-                route: if i == 0 { Some(route.clone()) } else { None },
-                hop: 1, // link 0 is the injection link, consumed by the NI
-                is_head: i == 0,
-                is_tail: i == len - 1,
-                vc,
-                priority,
-                injected_at,
-                epoch: 0,
-                corrupt: 0,
-                hop_retries: 0,
-            })
-            .collect()
+        let mut route = Some(route);
+        (0..len).map(move |i| Flit {
+            packet,
+            flow,
+            // Only the head carries the route.
+            route: route.take(),
+            hop: 1, // link 0 is the injection link, consumed by the NI
+            is_head: i == 0,
+            is_tail: i == len - 1,
+            vc,
+            priority,
+            injected_at,
+            epoch: 0,
+            corrupt: 0,
+            hop_retries: 0,
+        })
     }
 }
 
@@ -103,7 +104,8 @@ mod tests {
 
     #[test]
     fn single_flit_packet_is_head_and_tail() {
-        let flits = Flit::packetize(PacketId(1), None, route(), 1, 0, false, 5);
+        let flits: Vec<Flit> =
+            Flit::packetize(PacketId(1), None, route(), 1, 0, false, 5).collect();
         assert_eq!(flits.len(), 1);
         assert!(flits[0].is_head && flits[0].is_tail);
         assert!(flits[0].route.is_some());
@@ -111,7 +113,8 @@ mod tests {
 
     #[test]
     fn multi_flit_packet_structure() {
-        let flits = Flit::packetize(PacketId(2), Some(FlowId(3)), route(), 4, 1, true, 9);
+        let flits: Vec<Flit> =
+            Flit::packetize(PacketId(2), Some(FlowId(3)), route(), 4, 1, true, 9).collect();
         assert_eq!(flits.len(), 4);
         assert!(flits[0].is_head && !flits[0].is_tail);
         assert!(flits[3].is_tail && !flits[3].is_head);

@@ -184,7 +184,9 @@ impl DomainMap {
 
     /// Whether `node` is clocked on `cycle` (fast-clock cycles).
     pub fn active(&self, node: NodeId, cycle: u64) -> bool {
-        cycle.is_multiple_of(self.divider_of_domain[self.domain_of[node.0]] as u64)
+        // Full-rate domains skip the division: this runs per node visit.
+        let divider = self.divider_of_domain[self.domain_of[node.0]] as u64;
+        divider == 1 || cycle.is_multiple_of(divider)
     }
 
     /// Whether a link crosses between two domains.

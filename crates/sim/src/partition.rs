@@ -408,6 +408,11 @@ impl PartitionedSimulator {
     /// every shard's data-plane counters. `measured_cycles` is the
     /// parent's — the shards simulate the *same* cycles, not extra
     /// ones, so the merge's windows-concatenate addition is overridden.
+    ///
+    /// Each shard builds its per-flow and per-link maps from dense
+    /// accumulators only in [`finish`](Self::finish) (which `run` and
+    /// `drain` call), so this merges what the last finish built; after
+    /// bare [`step`](Self::step)s, call `finish` first.
     pub fn stats(&self) -> SimStats {
         if let Some(m) = &self.master {
             return m.stats().clone();

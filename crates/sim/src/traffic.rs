@@ -1,7 +1,6 @@
 //! Traffic sources: flow-driven (from an application spec) and synthetic
 //! (uniform random, transpose, hotspot — the classic fabric workloads).
 
-use crate::flit::{Flit, PacketId};
 use noc_spec::units::{BitsPerSecond, Hertz};
 use noc_spec::{FlowId, TrafficShape, TransactionKind};
 use noc_topology::graph::NodeId;
@@ -170,32 +169,6 @@ pub struct TrafficSource {
     pub priority: bool,
 }
 
-impl TrafficSource {
-    /// Generates this cycle's packet, if the process fires.
-    pub fn generate(
-        &mut self,
-        cycle: u64,
-        next_packet: &mut u64,
-        rng: &mut StdRng,
-    ) -> Option<Vec<Flit>> {
-        if !self.process.fire(cycle, rng) {
-            return None;
-        }
-        let route = self.destination.pick(rng);
-        let id = PacketId(*next_packet);
-        *next_packet += 1;
-        Some(Flit::packetize(
-            id,
-            Some(self.flow),
-            route,
-            self.packet_flits,
-            self.vc,
-            self.priority,
-            cycle,
-        ))
-    }
-}
-
 /// Converts a bandwidth demand into packets per cycle for the given
 /// packet shape and link parameters.
 ///
@@ -321,28 +294,5 @@ mod tests {
         assert_eq!(packets_per_cycle(BitsPerSecond(0), clock, 32, 1), Some(0.0));
         // ...and any nonzero payload demand is not.
         assert!(packets_per_cycle(BitsPerSecond(1), clock, 32, 1).is_none());
-    }
-
-    #[test]
-    fn source_generates_full_packets() {
-        let route: Arc<[LinkId]> = vec![LinkId(0), LinkId(1)].into();
-        let mut src = TrafficSource {
-            ni: NodeId(0),
-            flow: FlowId(0),
-            destination: Destination::Fixed(route),
-            process: InjectionProcess::Constant {
-                period: 2,
-                phase: 0,
-            },
-            packet_flits: 3,
-            vc: 0,
-            priority: false,
-        };
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut next = 0;
-        let p = src.generate(0, &mut next, &mut rng).expect("fires at 0");
-        assert_eq!(p.len(), 3);
-        assert_eq!(next, 1);
-        assert!(src.generate(1, &mut next, &mut rng).is_none());
     }
 }

@@ -420,3 +420,95 @@ proptest! {
         prop_assert!(sim.credits_restored(), "credits leak through recovery");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Receive buffers are fixed rings of `buffer_depth` slots. That is
+    /// sound only because the credit algebra bounds every (link, VC)
+    /// buffer by the buffer depth, so the bound is checked after every
+    /// single step: under both flow-control disciplines, under link-level
+    /// retries (a rejected flit keeps its slot while it re-crosses the
+    /// wire) and FEC, and under link faults, whose flush tails take a
+    /// slot in a freshly drained buffer.
+    #[test]
+    fn receive_buffers_never_exceed_buffer_depth(
+        rate in 0.05f64..0.6,
+        pf in 2usize..6,
+        buffer_depth in 1usize..5,
+        vcs in 1usize..3,
+        fc_sel in 0u8..2,
+        ec_sel in 0u8..3,
+        nfaults in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        use noc_sim::config::ErrorControl;
+        use noc_spec::fault::{CorruptionScenario, FaultPlan, FaultScenario, FaultTarget};
+        use noc_topology::LinkId;
+
+        let fc = if fc_sel == 0 { FlowControl::OnOff } else { FlowControl::AckNack };
+        let ec = match ec_sel {
+            0 => ErrorControl::None,
+            1 => ErrorControl::LinkLevel,
+            _ => ErrorControl::Fec,
+        };
+        let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
+        let m = mesh(4, 4, &cores, 32).expect("valid shape");
+        let switch_links: Vec<usize> = m
+            .topology
+            .links()
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| {
+                m.topology.node(l.src).is_switch() && m.topology.node(l.dst).is_switch()
+            })
+            .map(|(i, _)| i)
+            .collect();
+        let targets: Vec<FaultTarget> =
+            switch_links.iter().map(|&i| FaultTarget::Link(i)).collect();
+        let faults = FaultScenario {
+            faults: nfaults,
+            window: (50, 500),
+            transient_chance: 128,
+            duration: (30, 200),
+        };
+        let noise = CorruptionScenario {
+            bursts: 3,
+            window: (0, 600),
+            duration: (50, 300),
+            ber_ppm: (50_000, 300_000),
+            double_ppm: (0, 50_000),
+        };
+        let plan = FaultPlan::generate(seed, &targets, faults).with_corruption(
+            FaultPlan::generate_corruption(seed ^ 0xB0F, &switch_links, noise)
+                .corruption()
+                .to_vec(),
+        );
+        let cfg = SimConfig::default()
+            .with_warmup(0)
+            .with_buffer_depth(buffer_depth)
+            .with_vcs(vcs)
+            .with_flow_control(fc)
+            .with_error_control(ec);
+        let links = m.topology.links().len();
+        let mut sim = Simulator::new(m.topology.clone(), cfg).with_seed(seed);
+        for s in patterns::uniform_random(&m, rate, pf).expect("in range") {
+            sim.add_source(s);
+        }
+        sim.set_fault_plan(&plan).expect("targets are real links");
+        for _ in 0..800 {
+            sim.step();
+            for l in 0..links {
+                let (_, buffered, _) = sim.debug_link_state(LinkId(l));
+                for (vc, &n) in buffered.iter().enumerate() {
+                    prop_assert!(
+                        n <= buffer_depth,
+                        "link {} VC {} holds {} flits > depth {} at cycle {} ({:?}, {:?})",
+                        l, vc, n, buffer_depth, sim.cycle(), fc, ec
+                    );
+                }
+            }
+        }
+        prop_assert!(sim.injected_flits_total() > 0, "traffic flowed");
+    }
+}
