@@ -59,7 +59,7 @@ quick() {
   cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
   echo "==> cargo test -q (debug)"
   cargo test "${CARGO_FLAGS[@]}" -q
-  # Partitioned-engine smoke at product scale: a 32x32 mesh on 2 shard
+  # Sharded-simulator smoke at product scale: a 32x32 mesh on 2 shard
   # workers through the threaded run path (ignored by default so plain
   # `cargo test` stays fast; the full parity matrix runs in tier-1).
   echo "==> partitioned 32x32 2-worker smoke (debug)"
@@ -72,8 +72,8 @@ tier1() {
   cargo build "${CARGO_FLAGS[@]}" --release
   echo "==> tier-1: cargo test -q"
   cargo test "${CARGO_FLAGS[@]}" -q
-  # The debug run above already includes the three-way engine parity
-  # suite — scan == event == partitioned at 1/2/4/8 workers, incl.
+  # The debug run above already includes the engine parity suite — one
+  # Simulator type, scan == event == sharded at 1/2/4/8 workers, incl.
   # faults, online recovery, GALS and TDMA (with conservation
   # debug_asserts armed); repeat it in release so the exact
   # configuration users run is also proven bit-identical.

@@ -137,7 +137,7 @@ fn bench_step_throughput_errctl_off(c: &mut Criterion) {
 /// [`noc_bench::step_scaling_sim`].
 fn bench_step_throughput_32x32(c: &mut Criterion) {
     let mut sim =
-        noc_bench::step_scaling_sim(32, 0.02, noc_bench::StepPattern::NearestNeighbor, false);
+        noc_bench::step_scaling_sim(32, 0.02, noc_bench::StepPattern::NearestNeighbor, false, 1);
     c.bench_function("fig4/step_throughput_32x32_low", |b| {
         b.iter(|| {
             sim.step();

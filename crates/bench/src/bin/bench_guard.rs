@@ -235,7 +235,7 @@ fn measure_step_errctl_off_us() -> f64 {
 /// [`noc_bench::step_scaling_sim`].
 fn measure_step_32x32_low_us() -> f64 {
     let mut sim =
-        noc_bench::step_scaling_sim(32, 0.02, noc_bench::StepPattern::NearestNeighbor, false);
+        noc_bench::step_scaling_sim(32, 0.02, noc_bench::StepPattern::NearestNeighbor, false, 1);
     noc_bench::step_us(&mut sim, 5, 2_000)
 }
 
@@ -247,7 +247,8 @@ fn measure_step_32x32_low_us() -> f64 {
 /// the network is saturated — but slowly enough that the measurement
 /// is not dominated by queue-memory churn.)
 fn measure_step_32x32_sat_us() -> f64 {
-    let mut sim = noc_bench::step_scaling_sim(32, 0.15, noc_bench::StepPattern::Transpose, false);
+    let mut sim =
+        noc_bench::step_scaling_sim(32, 0.15, noc_bench::StepPattern::Transpose, false, 1);
     noc_bench::step_us(&mut sim, 5, 500)
 }
 
@@ -259,7 +260,7 @@ fn measure_step_32x32_sat_us() -> f64 {
 /// speedup; this pins the absolute per-cycle cost).
 fn measure_step_64x64_sat_par4_us() -> f64 {
     let mut sim =
-        noc_bench::step_scaling_sim_partitioned(64, 0.15, noc_bench::StepPattern::Transpose, 4);
+        noc_bench::step_scaling_sim(64, 0.15, noc_bench::StepPattern::Transpose, false, 4);
     noc_bench::run_us_partitioned(&mut sim, 3, 300)
 }
 

@@ -20,10 +20,7 @@
 //!
 //! `--quick` shrinks rounds/steps for smoke runs.
 
-use noc_bench::{
-    banner, run_us_partitioned, step_scaling_sim, step_scaling_sim_partitioned, step_us, table,
-    StepPattern,
-};
+use noc_bench::{banner, run_us_partitioned, step_scaling_sim, step_us, table, StepPattern};
 
 /// Total offered traffic of the fixed-traffic sweep, flits/cycle summed
 /// over all sources. 20.48 = 0.32 flits/cycle/node on 8×8 — heavy but
@@ -38,7 +35,7 @@ fn measure(
     rounds: usize,
     steps: u64,
 ) -> f64 {
-    let mut sim = step_scaling_sim(n, rate, pattern, scan);
+    let mut sim = step_scaling_sim(n, rate, pattern, scan, 1);
     step_us(&mut sim, rounds, steps)
 }
 
@@ -131,7 +128,7 @@ fn main() {
         let serial = measure(n, 0.15, StepPattern::Transpose, false, wrounds, wsteps);
         let mut row = vec![format!("{n}x{n}"), format!("{serial:.0}")];
         for workers in [1usize, 2, 4, 8] {
-            let mut sim = step_scaling_sim_partitioned(n, 0.15, StepPattern::Transpose, workers);
+            let mut sim = step_scaling_sim(n, 0.15, StepPattern::Transpose, false, workers);
             let us = run_us_partitioned(&mut sim, wrounds, wsteps);
             if n == 64 && workers == 4 {
                 speedup_64_par4 = serial / us;

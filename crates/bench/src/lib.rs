@@ -123,9 +123,13 @@ pub enum StepPattern {
 /// Warmed-up `n`×`n` mesh under `pattern` with *clocked*
 /// (Constant-process) injection at `rate` flits/cycle/node — the shared
 /// scenario of the step-scaling experiments: the
-/// `fig4/step_throughput_32x32_*` guard entries, the matching criterion
-/// bench, and the `fig4_step_scaling` table all time exactly this
-/// simulator, so their numbers are comparable.
+/// `fig4/step_throughput_*` guard entries, the matching criterion
+/// bench, and the `fig4_step_scaling` tables all time exactly this
+/// simulator, so their numbers are comparable. `workers ≥ 2` shards the
+/// simulator (`SimConfig::with_partitioned_engine`), bit-identical to
+/// the serial engine by the parity contract (`engine_parity.rs`) —
+/// only wall-clock time differs; `scan_engine` selects the scan
+/// reference instead of the event engine for the serial case.
 ///
 /// Clocked injection because Constant sources are heap-scheduled by the
 /// event engine, so idle cycles cost nothing and measured step time
@@ -137,6 +141,7 @@ pub fn step_scaling_sim(
     rate: f64,
     pattern: StepPattern,
     scan_engine: bool,
+    workers: usize,
 ) -> noc_sim::engine::Simulator {
     use noc_sim::traffic::InjectionProcess;
     let cores: Vec<noc_spec::CoreId> = (0..n * n).map(noc_spec::CoreId).collect();
@@ -155,7 +160,9 @@ pub fn step_scaling_sim(
     }
     let sim = noc_sim::engine::Simulator::new(
         fabric.topology,
-        noc_sim::config::SimConfig::default().with_warmup(100),
+        noc_sim::config::SimConfig::default()
+            .with_warmup(100)
+            .with_partitioned_engine(workers),
     );
     let mut sim = if scan_engine {
         sim.with_scan_engine()
@@ -184,55 +191,12 @@ pub fn step_us(sim: &mut noc_sim::engine::Simulator, rounds: usize, steps: u64) 
     best
 }
 
-/// The partitioned twin of [`step_scaling_sim`]: the identical warmed
-/// scenario on [`noc_sim::partition::PartitionedSimulator`] with
-/// `workers` shard workers. Bit-identical results to the serial twin by
-/// the three-way parity contract (`engine_parity.rs`) — only wall-clock
-/// time differs.
-pub fn step_scaling_sim_partitioned(
-    n: usize,
-    rate: f64,
-    pattern: StepPattern,
-    workers: usize,
-) -> noc_sim::partition::PartitionedSimulator {
-    use noc_sim::traffic::InjectionProcess;
-    let cores: Vec<noc_spec::CoreId> = (0..n * n).map(noc_spec::CoreId).collect();
-    let fabric = noc_topology::generators::mesh(n, n, &cores, 32).expect("valid shape");
-    let mut sources = match pattern {
-        StepPattern::NearestNeighbor => {
-            noc_sim::patterns::nearest_neighbor(&fabric, rate, 4).expect("rate in range")
-        }
-        StepPattern::Transpose => {
-            noc_sim::patterns::transpose(&fabric, rate, 4).expect("rate in range")
-        }
-    };
-    for (i, s) in sources.iter_mut().enumerate() {
-        s.process =
-            InjectionProcess::from_shape(noc_spec::TrafficShape::Constant, rate / 4.0, 4, i as u64);
-    }
-    let mut sim = noc_sim::partition::PartitionedSimulator::new(
-        fabric.topology,
-        noc_sim::config::SimConfig::default()
-            .with_warmup(100)
-            .with_partitioned_engine(workers),
-    );
-    for s in sources {
-        sim.add_source(s);
-    }
-    sim.run(1_000); // reach steady state before measuring
-    sim
-}
-
 /// Best-of-`rounds` mean µs per cycle over `steps`-cycle threaded
-/// `run()` bursts — the partitioned counterpart of [`step_us`]. Timing
+/// `run()` bursts — the sharded counterpart of [`step_us`]. Timing
 /// goes through `run` (the worker-thread dispatch path), not per-cycle
-/// `step`, because that is how the partitioned engine is driven in
+/// `step`, because that is how a sharded simulator is driven in
 /// production; the per-burst thread spawn amortizes over `steps`.
-pub fn run_us_partitioned(
-    sim: &mut noc_sim::partition::PartitionedSimulator,
-    rounds: usize,
-    steps: u64,
-) -> f64 {
+pub fn run_us_partitioned(sim: &mut noc_sim::engine::Simulator, rounds: usize, steps: u64) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..rounds {
         let t0 = std::time::Instant::now();

@@ -94,11 +94,12 @@ pub struct SimConfig {
     /// retransmit). `None` leaves the fault path in oracle mode and
     /// keeps the fault-free hot path free of recovery bookkeeping.
     pub recovery: Option<RecoveryConfig>,
-    /// Worker threads for the partitioned intra-sim engine
-    /// (`partition::PartitionedSimulator`). `0` (the default) means the
-    /// knob is unset; the partitioned engine treats it as 1 worker. The
-    /// plain `Simulator` ignores the field entirely — results are
-    /// bit-identical at any worker count by the determinism contract.
+    /// Worker threads for intra-simulation parallelism (see
+    /// [`crate::partition`]). At 2 or more, a `Simulator` over a fabric
+    /// of at least two switches splits into that many spatial shards
+    /// (fewer on small fabrics); `0` (the default) and `1` mean the
+    /// serial engine. Results are bit-identical at any worker count by
+    /// the determinism contract.
     pub partition_workers: usize,
     /// Soft-error protection scheme (see [`ErrorControl`]). With the
     /// default `None` and no corruption schedule installed, the hot
@@ -189,10 +190,10 @@ impl SimConfig {
         self
     }
 
-    /// Sets the worker-thread count for the partitioned intra-sim
-    /// engine (`partition::PartitionedSimulator`). Worker count shapes
-    /// wall-clock time only; the simulation result is bit-identical to
-    /// the serial engines at any setting.
+    /// Sets the worker-thread count for intra-simulation parallelism
+    /// (see [`crate::partition`]). Worker count shapes wall-clock time
+    /// only; the simulation result is bit-identical to the serial
+    /// engines at any setting.
     pub fn with_partitioned_engine(mut self, workers: usize) -> SimConfig {
         self.partition_workers = workers;
         self

@@ -39,8 +39,8 @@
 //! ## Locality by construction
 //!
 //! Two representation choices make the engine *spatially local*, which
-//! the partitioned engine ([`crate::partition`]) exploits to step
-//! disjoint mesh regions in parallel between per-cycle barriers:
+//! a sharded simulator ([`crate::partition`]) exploits to step disjoint
+//! mesh regions in parallel between per-cycle barriers:
 //!
 //! - **Per-source RNG streams and packet ids.** Every traffic source
 //!   owns a private `StdRng` seeded `point_seed(base_seed, index)` and
@@ -63,16 +63,29 @@
 //! cache-resident on any fabric size. Each ring caches a summary of its
 //! front flit for arbitration. DESIGN.md ("Flat data plane") has the
 //! details.
+//!
+//! ## One type, serial or sharded
+//!
+//! A [`Simulator`] configured with
+//! [`SimConfig::with_partitioned_engine`]`(w)`, `w ≥ 2`, on a fabric of
+//! at least two switches splits itself into spatial shards at its first
+//! `step`/`run`/`drain` and from then on acts as their control-plane
+//! parent: `step`, `run`, `drain`, `finish`, the flit counters and
+//! `stats` aggregate over the shards. Every other simulator is the
+//! serial engine, whose `step` pays one branch for this. Configuration
+//! (`add_source`, fault plans, domains, …) must precede the split.
 
 use crate::config::ErrorControl;
 use crate::config::{Arbitration, FlowControl, SimConfig};
 use crate::flit::{Flit, PacketId};
 use crate::gals::DomainMap;
+use crate::partition::{self, Split};
 use crate::qos::SlotTable;
 use crate::recovery::RecoveryNotice;
 use crate::stats::{FlowStats, SimStats};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::traffic::{Destination, InjectionProcess, TrafficSource};
+use noc_par::ThreadBudget;
 use noc_spec::fault::{corruption_draw, FaultPlan, FaultTarget, RecoveryConfig};
 use noc_spec::FlowId;
 use noc_topology::graph::{LinkId, NodeId, Topology};
@@ -738,6 +751,11 @@ pub struct Simulator {
     /// (see [`crate::partition`]): boundary-crossing effects are routed
     /// through the context's outbox instead of applied in place.
     part: Option<Box<PartCtx>>,
+    /// `Some` while this simulator runs sharded (see the module docs):
+    /// the partition plan, the shards once split, and their merged
+    /// statistics. The simulator itself is then the control-plane
+    /// parent.
+    pub(crate) split: Option<Box<Split>>,
     /// Flits across all source queues, same motivation.
     queued_count: u64,
     /// Earliest pending watchdog deadline (`u64::MAX` when none).
@@ -813,6 +831,7 @@ impl Simulator {
         }
         let eject_count = adj.eject_ports.len();
         let switch_count = adj.switches.len();
+        let split = Split::for_workers(&topo, cfg.partition_workers);
         Simulator {
             credits: vec![u32::try_from(cfg.buffer_depth).expect("buffer depth fits u32"); ports],
             bufs: RecvRings::new(ports, cfg.buffer_depth),
@@ -890,6 +909,7 @@ impl Simulator {
             const_scratch: Vec::new(),
             in_network_count: 0,
             part: None,
+            split,
             queued_count: 0,
             watchdog_next_due: u64::MAX,
             retransmit_next_due: u64::MAX,
@@ -923,6 +943,7 @@ impl Simulator {
     /// — already-registered sources are reseeded, later registrations
     /// derive from the new base.
     pub fn with_seed(mut self, seed: u64) -> Simulator {
+        self.assert_configurable();
         self.base_seed = seed;
         for (i, slot) in self.sources.iter_mut().enumerate() {
             slot.rng = StdRng::seed_from_u64(noc_par::point_seed(seed, i as u64));
@@ -930,8 +951,41 @@ impl Simulator {
         self
     }
 
+    /// Draws a sharded simulator's worker threads from `budget`: each
+    /// `run`/`drain` reserves up to the configured worker count and may
+    /// be granted fewer under contention. Results are unaffected —
+    /// worker count never influences them — only wall-clock parallelism
+    /// is shaped. No effect on a serial simulator, which spawns no
+    /// threads.
+    pub fn with_thread_budget(mut self, budget: Arc<ThreadBudget>) -> Simulator {
+        if let Some(split) = &mut self.split {
+            split.budget = Some(budget);
+        }
+        self
+    }
+
+    /// The shard simulators, once this simulator has split.
+    fn shards(&self) -> Option<&[Simulator]> {
+        self.split
+            .as_ref()
+            .map(|s| s.shards.as_slice())
+            .filter(|s| !s.is_empty())
+    }
+
+    /// The guard of every configuration call: after the split a change
+    /// would reach only the parent and silently give wrong results.
+    fn assert_configurable(&self) {
+        assert!(
+            self.shards().is_none(),
+            "configure a sharded simulator before its first step"
+        );
+    }
+
     /// Enables packet-event tracing with the given ring-buffer capacity.
+    /// Shards do not trace: a sharded simulator records only the events
+    /// of its control plane.
     pub fn enable_trace(&mut self, capacity: usize) {
+        self.assert_configurable();
         self.trace = Some(Trace::new(capacity));
     }
 
@@ -942,6 +996,7 @@ impl Simulator {
 
     /// Installs a GALS clock-domain map.
     pub fn set_domains(&mut self, domains: DomainMap) {
+        self.assert_configurable();
         self.domains = domains;
         for (l, tl) in self.links.iter_mut().zip(self.topo.links()) {
             let crossing = if self.domains.crosses(tl.src, tl.dst) {
@@ -955,6 +1010,7 @@ impl Simulator {
 
     /// Installs a TDMA slot table at an injecting NI.
     pub fn set_slot_table(&mut self, ni: NodeId, table: SlotTable) {
+        self.assert_configurable();
         self.slot_tables[ni.0] = Some(table);
     }
 
@@ -962,9 +1018,11 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if the source's NI has no outgoing link or the source's VC
-    /// exceeds the configured VC count.
+    /// Panics if the source's NI has no outgoing link, the source's VC
+    /// exceeds the configured VC count, or the simulator has already
+    /// split into shards.
     pub fn add_source(&mut self, source: TrafficSource) {
+        self.assert_configurable();
         assert!(
             !self.topo.outgoing(source.ni).is_empty(),
             "source NI has no outgoing link"
@@ -1035,28 +1093,38 @@ impl Simulator {
     /// built from per-cycle accumulators only by [`run`](Self::run),
     /// [`drain`](Self::drain) and [`finish`](Self::finish); after bare
     /// [`step`](Self::step)s they show the last build. Every other field
-    /// is current after each step.
+    /// is current after each step on the serial engine; a sharded
+    /// simulator merges its shards' statistics only in those three
+    /// calls, so there every field shows the last merge.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.split.as_ref().map_or(&self.stats, |s| &s.stats)
     }
 
     /// Consumes the simulator, returning its statistics.
     pub fn into_stats(self) -> SimStats {
-        self.stats
+        self.split.map_or(self.stats, |s| s.stats)
+    }
+
+    /// Sums a data-plane counter over the shards once split, else reads
+    /// it here.
+    fn data_sum<T: std::iter::Sum>(&self, counter: impl Fn(&Simulator) -> T) -> T {
+        match self.shards() {
+            Some(shards) => shards.iter().map(counter).sum(),
+            None => std::iter::once(counter(self)).sum(),
+        }
     }
 
     /// Flits currently inside the fabric (buffers + wires), excluding
     /// source queues. O(1): maintained at every launch/eject/drop, and
     /// checked against a full recount (debug builds) when stats
-    /// finalize.
+    /// finalize. A shard's count can drift negative (injections count
+    /// on the sending shard, ejections on the receiving one); the sum
+    /// across shards is the true occupancy.
     pub fn flits_in_network(&self) -> usize {
-        self.in_network_count.max(0) as usize
+        self.data_sum(Simulator::part_in_network_raw).max(0) as usize
     }
 
-    /// The raw (signed) in-network count. A partitioned shard's count
-    /// can drift negative (injections count on the sending shard,
-    /// ejections on the receiving one); the sum across shards is the
-    /// true occupancy.
+    /// One shard's signed share of the in-network count.
     pub(crate) fn part_in_network_raw(&self) -> i64 {
         self.in_network_count
     }
@@ -1064,7 +1132,7 @@ impl Simulator {
     /// Flits waiting in source queues. O(1), like
     /// [`flits_in_network`](Simulator::flits_in_network).
     pub fn flits_queued(&self) -> usize {
-        self.queued_count as usize
+        self.data_sum(|s| s.queued_count) as usize
     }
 
     /// Ground-truth recount of [`flits_in_network`] straight from the
@@ -1083,17 +1151,17 @@ impl Simulator {
 
     /// Total flits injected into the fabric since construction.
     pub fn injected_flits_total(&self) -> u64 {
-        self.injected_flits_total
+        self.data_sum(|s| s.injected_flits_total)
     }
 
     /// Total flits ejected from the fabric since construction.
     pub fn ejected_flits_total(&self) -> u64 {
-        self.ejected_flits_total
+        self.data_sum(|s| s.ejected_flits_total)
     }
 
     /// Total flits destroyed by faults since construction.
     pub fn dropped_flits_total(&self) -> u64 {
-        self.dropped_flits_total
+        self.data_sum(|s| s.dropped_flits_total)
     }
 
     /// Whether `link` is currently up (not failed).
@@ -1112,6 +1180,7 @@ impl Simulator {
     ///
     /// Replaces any previously installed plan; call before stepping.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), TopologyError> {
+        self.assert_configurable();
         let mut schedule = Vec::new();
         for (event, ev) in plan.events().iter().enumerate() {
             for link in noc_topology::fault::links_of_target(&self.topo, ev.target)? {
@@ -1173,6 +1242,7 @@ impl Simulator {
         flow: FlowId,
         destination: Destination,
     ) {
+        self.assert_configurable();
         self.reroutes.push(ScheduledReroute {
             cycle,
             ni,
@@ -1186,6 +1256,7 @@ impl Simulator {
     /// link-state transitions from this point on; already-down links are
     /// not retroactively detected.
     pub fn enable_recovery(&mut self, recovery: RecoveryConfig) {
+        self.assert_configurable();
         self.cfg.recovery = Some(recovery);
     }
 
@@ -1210,13 +1281,33 @@ impl Simulator {
     /// use this together with `flits_in_network`/`flits_queued`).
     pub fn stop_generation(&mut self) {
         self.generation_enabled = false;
+        if let Some(split) = &mut self.split {
+            for sh in &mut split.shards {
+                sh.generation_enabled = false;
+            }
+        }
     }
 
     /// Finalizes cycle-derived statistics aggregates. External step
     /// loops must call this once after their last `step`; `run` and
     /// `drain` do it implicitly.
+    ///
+    /// A sharded simulator also rebuilds its merged statistics here:
+    /// the parent's control-plane aggregates (detections, reroutes,
+    /// retransmit/restore bookkeeping) plus every shard's data-plane
+    /// counters. The merge starts afresh each time, so calling `finish`
+    /// again changes nothing. `measured_cycles` is the parent's — the
+    /// shards simulate the *same* cycles, not extra ones.
     pub fn finish(&mut self) {
         self.finalize_stats();
+        if let Some(split) = &mut self.split {
+            split.stats.clone_from(&self.stats);
+            for sh in &mut split.shards {
+                sh.finalize_stats();
+                split.stats.merge(&sh.stats);
+            }
+            split.stats.measured_cycles = self.stats.measured_cycles;
+        }
     }
 
     /// Drains the queued fault-detection and heal notices for the
@@ -1246,9 +1337,13 @@ impl Simulator {
         count_rerouted: bool,
     ) {
         let delay = self.cfg.recovery.map_or(0, |r| r.reroute_delay);
-        for slot in &mut self.sources {
-            if slot.source.ni == ni && slot.source.flow == flow {
-                slot.swap_pending = true;
+        self.set_swap_pending(ni, flow);
+        // The pending swap lives here; a sharded simulator also
+        // quiesces the flow on the shard owning the NI.
+        if let Some(split) = &mut self.split {
+            let owner = split.plan.shard_of_node[ni.0] as usize;
+            if let Some(sh) = split.shards.get_mut(owner) {
+                sh.set_swap_pending(ni, flow);
             }
         }
         // The newest request for a (ni, flow) wins: drop a stale one.
@@ -1630,28 +1725,38 @@ impl Simulator {
         owners
     }
 
-    /// Runs the simulation for `cycles` cycles.
+    /// Runs the simulation for `cycles` cycles (on the configured worker
+    /// threads when sharded) and finalizes statistics.
     pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
+        if self.split.is_some() {
+            partition::run_loop(self, cycles, false);
+        } else {
+            for _ in 0..cycles {
+                self.step();
+            }
         }
-        self.finalize_stats();
+        self.finish();
     }
 
-    /// Stops packet generation and runs until the network drains or
-    /// `max_cycles` elapse; returns whether the network fully drained.
+    /// Stops packet generation and runs until the network drains
+    /// (including pending retransmissions) or `max_cycles` elapse;
+    /// returns whether the network fully drained.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        self.generation_enabled = false;
-        for _ in 0..max_cycles {
-            if self.flits_in_network() == 0
-                && self.flits_queued() == 0
-                && self.retransmit_waiting == 0
-            {
-                break;
+        self.stop_generation();
+        if self.split.is_some() {
+            partition::run_loop(self, max_cycles, true);
+        } else {
+            for _ in 0..max_cycles {
+                if self.in_network_count <= 0
+                    && self.queued_count == 0
+                    && self.retransmit_waiting == 0
+                {
+                    break;
+                }
+                self.step();
             }
-            self.step();
         }
-        self.finalize_stats();
+        self.finish();
         self.flits_in_network() == 0 && self.flits_queued() == 0
     }
 
@@ -1699,11 +1804,14 @@ impl Simulator {
     }
 
     /// Whether all link credits are back at their initial value — a
-    /// conservation invariant that must hold on a drained network.
+    /// conservation invariant that must hold on a drained network. Each
+    /// credit counter has exactly one owning shard (the link's sender
+    /// side); non-owning replicas are never decremented, so the
+    /// conjunction over shards is exact.
     pub fn credits_restored(&self) -> bool {
-        self.credits
-            .iter()
-            .all(|&c| c as usize == self.cfg.buffer_depth)
+        let restored = |s: &Simulator| s.credits.iter().all(|&c| c as usize == s.cfg.buffer_depth);
+        self.shards()
+            .map_or_else(|| restored(self), |shards| shards.iter().all(restored))
     }
 
     fn measuring(&self) -> bool {
@@ -1714,7 +1822,14 @@ impl Simulator {
     /// generation). Public so harnesses can drive or benchmark the
     /// engine cycle by cycle; `run`/`drain` remain the convenient
     /// wrappers and are the only places stats are finalized.
+    ///
+    /// A sharded simulator steps in place here — control phases on the
+    /// parent, then each shard's data phases, then the barrier — and
+    /// uses worker threads only inside `run`/`drain`.
     pub fn step(&mut self) {
+        if self.split.is_some() {
+            return partition::step(self);
+        }
         if !self.credit_returns.is_empty() {
             self.apply_credit_returns();
         }
@@ -3000,13 +3115,13 @@ impl Simulator {
 }
 
 // ---------------------------------------------------------------------
-// Partitioned-engine plumbing (crate-internal; see `crate::partition`).
+// Sharded-run plumbing (crate-internal; see `crate::partition`).
 //
-// A partitioned run consists of one *parent* — the fully configured
-// master simulator, which never steps data phases and keeps every
+// A sharded run consists of one *parent* — the fully configured
+// simulator itself, which never steps data phases and keeps every
 // control-plane structure (fault schedule, watchdogs, pending swaps,
 // retransmit map, restore map, notices) — and N *shards*: clones of the
-// master localized with `part_install`, which step only the data
+// parent localized with `part_install`, which step only the data
 // phases. Each cycle the parent runs the control phases (calling into
 // the owning shards in exactly the serial engine's order), the shards
 // step their data phases independently, and the parent merges boundary
@@ -3014,11 +3129,6 @@ impl Simulator {
 // mirrors a serial `step` phase line by line; divergence is a parity
 // bug, and `tests/engine_parity.rs` holds the proof obligation.
 impl Simulator {
-    /// The simulated topology (for partition construction).
-    pub(crate) fn part_topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Clones this fully-configured simulator into `shards` localized
     /// shard simulators. `self` becomes the parent and must not step
     /// data phases afterwards.
@@ -3305,8 +3415,9 @@ impl Simulator {
         }
     }
 
-    /// Quiesces `(ni, flow)` on the owning shard for a requested swap.
-    pub(crate) fn part_set_swap_pending(&mut self, ni: NodeId, flow: FlowId) {
+    /// Quiesces `(ni, flow)` for a requested swap (on a shard: the one
+    /// owning the NI).
+    fn set_swap_pending(&mut self, ni: NodeId, flow: FlowId) {
         for slot in &mut self.sources {
             if slot.source.ni == ni && slot.source.flow == flow {
                 slot.swap_pending = true;
@@ -3680,29 +3791,38 @@ mod tests {
         assert_eq!(sim.stats().flows[&FlowId(0)].injected_packets, 1);
     }
 
+    /// At 1 worker the serial engine, at 4 a sharded simulator.
     #[test]
     fn stepping_then_finish_equals_run() {
         let cores: Vec<CoreId> = (0..9).map(CoreId).collect();
         let m = mesh(3, 3, &cores, 32).expect("valid");
         let sources = crate::patterns::uniform_random(&m, 0.2, 3).expect("ok");
-        let build = || {
-            let mut sim = Simulator::new(m.topology.clone(), SimConfig::default().with_warmup(100))
-                .with_seed(11);
-            for s in &sources {
-                sim.add_source(s.clone());
+        for workers in [1, 4] {
+            let cfg = SimConfig::default()
+                .with_warmup(100)
+                .with_partitioned_engine(workers);
+            let build = || {
+                let mut sim = Simulator::new(m.topology.clone(), cfg).with_seed(11);
+                for s in &sources {
+                    sim.add_source(s.clone());
+                }
+                sim
+            };
+            let mut ran = build();
+            ran.run(1_200);
+            let mut stepped = build();
+            for _ in 0..1_200 {
+                stepped.step();
             }
-            sim
-        };
-        let mut ran = build();
-        ran.run(1_200);
-        let mut stepped = build();
-        for _ in 0..1_200 {
-            stepped.step();
+            stepped.finish();
+            let stats = stepped.stats().clone();
+            assert!(stats.flows.values().any(|f| f.delivered_packets > 0));
+            assert_eq!(&stats, ran.stats(), "{workers} workers");
+            // `finish` rebuilds merged stats from scratch: a second call
+            // must not merge the shards in twice.
+            stepped.finish();
+            assert_eq!(stepped.stats(), &stats, "second finish, {workers} workers");
         }
-        stepped.finish();
-        let stats = stepped.stats();
-        assert!(stats.flows.values().any(|f| f.delivered_packets > 0));
-        assert_eq!(stats, ran.stats(), "per-flow and link stats included");
     }
 
     #[test]

@@ -71,9 +71,9 @@ pub use crate::error::SimError;
 pub use crate::fault::install_fault_plan;
 pub use crate::gals::{DomainMap, SyncScheme};
 pub use crate::histogram::LatencyHistogram;
-pub use crate::partition::{PartitionedSimulator, Partitioning};
+pub use crate::partition::Partitioning;
 pub use crate::qos::SlotTable;
-pub use crate::recovery::{OnlineRecovery, RecoverableSimulator, RecoveryNotice};
+pub use crate::recovery::{OnlineRecovery, RecoveryNotice};
 pub use crate::stats::{ErrorControlStats, FlowStats, RecoveryStats, SimStats};
 pub use crate::sweep::{point_seed, SweepRunner};
 pub use crate::trace::{Trace, TraceEvent, TraceKind};

@@ -3,11 +3,39 @@
 //!
 //! Every other parallel layer of the toolkit (`noc_sim::sweep`, the DSE
 //! shard fan-out) parallelizes *across* simulations; this module
-//! parallelizes *within* one. The mesh is partitioned into spatial
-//! shards ([`Partitioning::auto`] cuts contiguous switch bands — row
-//! bands on a row-major mesh), each shard owns a full event engine over
-//! its nodes, and the shards step the data phases of each cycle on
-//! worker threads between per-cycle barriers.
+//! parallelizes *within* one. A [`Simulator`] built with
+//! [`SimConfig::with_partitioned_engine`](crate::config::SimConfig::with_partitioned_engine)`(w)`,
+//! `w ≥ 2`, is cut into spatial shards ([`Partitioning::auto`] cuts
+//! contiguous switch bands — row bands on a row-major mesh); if the cut
+//! has at least two bands, the simulator clones itself into one event
+//! engine per shard at its first `step`/`run`/`drain`, and the shards
+//! step the data phases of each cycle on worker threads between
+//! per-cycle barriers. There is no separate simulator type: the
+//! simulator becomes the shards' control-plane parent, and its public
+//! methods aggregate over them. This module holds the parent's split
+//! state and the threaded cycle loop.
+//!
+//! ```
+//! use noc_sim::config::SimConfig;
+//! use noc_sim::engine::Simulator;
+//! use noc_sim::patterns;
+//! use noc_spec::CoreId;
+//! use noc_topology::generators::mesh;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
+//! let fabric = mesh(4, 4, &cores, 32)?;
+//! let sources = patterns::uniform_random(&fabric, 0.05, 3)?;
+//! let cfg = SimConfig::default().with_partitioned_engine(2);
+//! let mut sim = Simulator::new(fabric.topology, cfg);
+//! for s in sources {
+//!     sim.add_source(s);
+//! }
+//! sim.run(2_000);
+//! assert!(sim.stats().total_delivered_packets > 0);
+//! # Ok(())
+//! # }
+//! ```
 //!
 //! ## Why the result is bit-identical to the serial engine
 //!
@@ -33,26 +61,18 @@
 //! retransmit emission) run on the parent before the shards step, each
 //! delegated to the shard owning the touched state in the serial
 //! phase's exact order. `tests/engine_parity.rs` enforces the claim:
-//! scan ≡ event ≡ partitioned at 1/2/4/8 workers, including under
-//! faults, online recovery, GALS domains and TDMA slots.
+//! scan ≡ event ≡ sharded at 1/2/4/8 workers, including under faults,
+//! online recovery, GALS domains and TDMA slots.
 //!
 //! Worker count never affects results — only wall-clock time — so a
-//! [`PartitionedSimulator`] may be budget-shaped (see
-//! [`noc_par::ThreadBudget`]) when it runs inside an outer parallel
-//! sweep without oversubscribing the machine.
+//! sharded simulator may be budget-shaped
+//! ([`Simulator::with_thread_budget`]) when it runs inside an outer
+//! parallel sweep without oversubscribing the machine.
 
-use crate::config::SimConfig;
 use crate::engine::Simulator;
-use crate::gals::DomainMap;
-use crate::qos::SlotTable;
-use crate::recovery::RecoveryNotice;
 use crate::stats::SimStats;
-use crate::traffic::{Destination, TrafficSource};
 use noc_par::ThreadBudget;
-use noc_spec::fault::{FaultPlan, RecoveryConfig};
-use noc_spec::FlowId;
-use noc_topology::graph::{LinkId, NodeId, Topology};
-use noc_topology::TopologyError;
+use noc_topology::graph::Topology;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -114,412 +134,109 @@ impl Partitioning {
     }
 }
 
-/// A [`Simulator`] partitioned into mesh shards that step in parallel,
-/// bit-identical to the serial engines.
-///
-/// Construction and configuration mirror [`Simulator`]; the partition
-/// is materialized lazily at the first step, so all setup (sources,
-/// fault plans, slot tables, domains, seeds) happens on the single
-/// master simulator and is inherited by every shard.
-///
-/// ```
-/// use noc_sim::config::SimConfig;
-/// use noc_sim::partition::PartitionedSimulator;
-/// use noc_sim::patterns;
-/// use noc_spec::CoreId;
-/// use noc_topology::generators::mesh;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
-/// let fabric = mesh(4, 4, &cores, 32)?;
-/// let sources = patterns::uniform_random(&fabric, 0.05, 3)?;
-/// let cfg = SimConfig::default().with_partitioned_engine(2);
-/// let mut sim = PartitionedSimulator::new(fabric.topology, cfg);
-/// for s in sources {
-///     sim.add_source(s);
-/// }
-/// sim.run(2_000);
-/// assert!(sim.stats().total_delivered_packets > 0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct PartitionedSimulator {
-    /// The not-yet-split master (configuration target). `None` once the
-    /// partition is materialized.
-    master: Option<Simulator>,
-    /// The control-plane parent (the former master). `None` until the
-    /// partition is materialized.
-    parent: Option<Simulator>,
-    shards: Vec<Simulator>,
-    shard_of_node: Vec<u32>,
-    workers: usize,
+/// The parent-side state of a sharded [`Simulator`].
+#[derive(Debug, Clone)]
+pub(crate) struct Split {
+    /// The partition, fixed at construction.
+    pub(crate) plan: Partitioning,
+    /// The shard simulators; empty until the first step.
+    pub(crate) shards: Vec<Simulator>,
+    /// Parent and shard statistics, merged by [`Simulator::finish`].
+    pub(crate) stats: SimStats,
     /// Optional machine-wide thread budget (nested-parallelism guard).
-    budget: Option<Arc<ThreadBudget>>,
+    pub(crate) budget: Option<Arc<ThreadBudget>>,
 }
 
-impl PartitionedSimulator {
-    /// Creates a partitioned simulator over a topology. The worker
-    /// count comes from [`SimConfig::with_partitioned_engine`] (a `0`
-    /// knob means 1 worker, i.e. a serial partition of one band).
-    pub fn new(topo: Topology, cfg: SimConfig) -> PartitionedSimulator {
-        let workers = cfg.partition_workers.max(1);
-        PartitionedSimulator::from_simulator(Simulator::new(topo, cfg), workers)
-    }
-
-    /// Wraps an already-configured (but never stepped) [`Simulator`].
-    pub fn from_simulator(sim: Simulator, workers: usize) -> PartitionedSimulator {
-        assert_eq!(sim.cycle(), 0, "partition before the first step");
-        PartitionedSimulator {
-            master: Some(sim),
-            parent: None,
-            shards: Vec::new(),
-            shard_of_node: Vec::new(),
-            workers: workers.max(1),
-            budget: None,
+impl Split {
+    /// The split state of a new simulator over `topo` asking for
+    /// `workers` shard workers: `Some` when the partition has at least
+    /// two bands, `None` (the serial engine) otherwise.
+    pub(crate) fn for_workers(topo: &Topology, workers: usize) -> Option<Box<Split>> {
+        if workers < 2 {
+            return None;
         }
+        let plan = Partitioning::auto(topo, workers);
+        (plan.shards >= 2).then(|| {
+            Box::new(Split {
+                plan,
+                shards: Vec::new(),
+                stats: SimStats::default(),
+                budget: None,
+            })
+        })
     }
+}
 
-    /// Reseeds the traffic randomness (see [`Simulator::with_seed`]).
-    pub fn with_seed(mut self, seed: u64) -> PartitionedSimulator {
-        let master = self.master.take().expect("seed before the first step");
-        self.master = Some(master.with_seed(seed));
-        self
+/// Runs `body` over the parent and its split state, first cloning the
+/// configured parent into its shards if it has not stepped yet. The
+/// split state is moved out for the call so the parent can be borrowed
+/// mutably next to its shards.
+fn with_shards<R>(sim: &mut Simulator, body: impl FnOnce(&mut Simulator, &mut Split) -> R) -> R {
+    let mut split = sim.split.take().expect("a sharded simulator");
+    if split.shards.is_empty() {
+        split.shards = sim.part_split(&split.plan.shard_of_node, split.plan.shards);
     }
+    let out = body(sim, &mut split);
+    sim.split = Some(split);
+    out
+}
 
-    /// Draws this simulation's worker threads from `budget`: each
-    /// `run`/`drain` reserves up to the configured worker count and may
-    /// be granted fewer under contention. Results are unaffected —
-    /// worker count never influences them — only wall-clock
-    /// parallelism is shaped.
-    pub fn with_thread_budget(mut self, budget: Arc<ThreadBudget>) -> PartitionedSimulator {
-        self.budget = Some(budget);
-        self
+/// One cycle in place: parent control phases, shard data phases,
+/// barrier merge.
+fn cycle(parent: &mut Simulator, shards: &mut [Simulator], shard_of_node: &[u32]) {
+    parent.part_parent_control(shards, shard_of_node);
+    for sh in shards.iter_mut() {
+        sh.part_step_data();
     }
+    parent.part_absorb_outboxes(shards, shard_of_node);
+}
 
-    /// The configured worker count (also the maximum band count).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
+/// [`Simulator::step`] of a sharded simulator: one cycle, no worker
+/// threads.
+pub(crate) fn step(sim: &mut Simulator) {
+    with_shards(sim, |parent, split| {
+        cycle(parent, &mut split.shards, &split.plan.shard_of_node);
+    });
+}
 
-    fn master_mut(&mut self) -> &mut Simulator {
-        self.master
-            .as_mut()
-            .expect("configure the partitioned simulator before its first step")
-    }
+/// Whether the fabric, the source queues and the retransmit layer are
+/// all empty (the drain-loop stop condition).
+fn idle(parent: &Simulator, shards: &[Simulator]) -> bool {
+    shards
+        .iter()
+        .map(Simulator::part_in_network_raw)
+        .sum::<i64>()
+        <= 0
+        && shards.iter().all(|s| s.flits_queued() == 0)
+        && parent.pending_retransmits() == 0
+}
 
-    /// The simulator holding the authoritative control-plane view: the
-    /// master before the split, the parent after.
-    fn control(&self) -> &Simulator {
-        self.master
-            .as_ref()
-            .or(self.parent.as_ref())
-            .expect("master or parent always present")
-    }
-
-    /// Registers a traffic source (see [`Simulator::add_source`]).
-    pub fn add_source(&mut self, source: TrafficSource) {
-        self.master_mut().add_source(source);
-    }
-
-    /// Installs a GALS clock-domain map.
-    pub fn set_domains(&mut self, domains: DomainMap) {
-        self.master_mut().set_domains(domains);
-    }
-
-    /// Installs a TDMA slot table at an injecting NI.
-    pub fn set_slot_table(&mut self, ni: NodeId, table: SlotTable) {
-        self.master_mut().set_slot_table(ni, table);
-    }
-
-    /// Installs a fault plan (see [`Simulator::set_fault_plan`]).
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), TopologyError> {
-        self.master_mut().set_fault_plan(plan)
-    }
-
-    /// Schedules a destination swap (see [`Simulator::schedule_reroute`]).
-    pub fn schedule_reroute(
-        &mut self,
-        cycle: u64,
-        ni: NodeId,
-        flow: FlowId,
-        destination: Destination,
-    ) {
-        self.master_mut()
-            .schedule_reroute(cycle, ni, flow, destination);
-    }
-
-    /// Turns on online recovery (see [`Simulator::enable_recovery`]).
-    pub fn enable_recovery(&mut self, recovery: RecoveryConfig) {
-        self.master_mut().enable_recovery(recovery);
-    }
-
-    /// The simulator's configuration.
-    pub fn config(&self) -> &SimConfig {
-        self.control().config()
-    }
-
-    /// The current cycle (parent view; every shard agrees between
-    /// steps).
-    pub fn cycle(&self) -> u64 {
-        self.control().cycle()
-    }
-
-    /// The current routing epoch.
-    pub fn epoch(&self) -> u64 {
-        self.control().epoch()
-    }
-
-    /// Whether `link` is currently up.
-    pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.control().link_is_up(link)
-    }
-
-    /// Whether the routers currently believe `link` is dead.
-    pub fn link_detected_down(&self, link: LinkId) -> bool {
-        self.control().link_detected_down(link)
-    }
-
-    /// Retransmissions scheduled but not yet re-emitted.
-    pub fn pending_retransmits(&self) -> usize {
-        self.control().pending_retransmits()
-    }
-
-    /// The registered traffic sources, in registration order. The
-    /// parent's replica slots mirror every committed destination swap,
-    /// so this is the controller-visible routing view.
-    pub fn sources(&self) -> impl Iterator<Item = &TrafficSource> {
-        self.control().sources()
-    }
-
-    /// Drains the queued recovery notices (parent-side).
-    pub fn take_recovery_notices(&mut self) -> Vec<RecoveryNotice> {
-        match &mut self.master {
-            Some(m) => m.take_recovery_notices(),
-            None => self.parent.as_mut().expect("split").take_recovery_notices(),
-        }
-    }
-
-    /// Requests a routing-table hot-swap (see
-    /// [`Simulator::request_route_swap`]). The pending swap lives in
-    /// the parent; the quiesce flag is set on the shard owning the NI.
-    pub fn request_route_swap(
-        &mut self,
-        ni: NodeId,
-        flow: FlowId,
-        destination: Destination,
-        failed_at: u64,
-        detected_at: u64,
-        count_rerouted: bool,
-    ) {
-        if let Some(m) = &mut self.master {
-            m.request_route_swap(
-                ni,
-                flow,
-                destination,
-                failed_at,
-                detected_at,
-                count_rerouted,
-            );
-            return;
-        }
-        let parent = self.parent.as_mut().expect("split");
-        parent.request_route_swap(
-            ni,
-            flow,
-            destination,
-            failed_at,
-            detected_at,
-            count_rerouted,
-        );
-        let sh = self.shard_of_node[ni.0] as usize;
-        self.shards[sh].part_set_swap_pending(ni, flow);
-    }
-
-    /// Stops packet generation without draining.
-    pub fn stop_generation(&mut self) {
-        if let Some(m) = &mut self.master {
-            m.stop_generation();
-            return;
-        }
-        self.parent.as_mut().expect("split").stop_generation();
-        for sh in &mut self.shards {
-            sh.stop_generation();
-        }
-    }
-
-    /// Flits currently inside the fabric (summed across shards).
-    pub fn flits_in_network(&self) -> usize {
-        if let Some(m) = &self.master {
-            return m.flits_in_network();
-        }
-        let total: i64 = self.shards.iter().map(Simulator::part_in_network_raw).sum();
-        total.max(0) as usize
-    }
-
-    /// Flits waiting in source queues (summed across shards).
-    pub fn flits_queued(&self) -> usize {
-        if let Some(m) = &self.master {
-            return m.flits_queued();
-        }
-        self.shards.iter().map(Simulator::flits_queued).sum()
-    }
-
-    /// Total flits injected into the fabric since construction.
-    pub fn injected_flits_total(&self) -> u64 {
-        if let Some(m) = &self.master {
-            return m.injected_flits_total();
-        }
-        self.shards
-            .iter()
-            .map(Simulator::injected_flits_total)
-            .sum()
-    }
-
-    /// Total flits ejected from the fabric since construction.
-    pub fn ejected_flits_total(&self) -> u64 {
-        if let Some(m) = &self.master {
-            return m.ejected_flits_total();
-        }
-        self.shards.iter().map(Simulator::ejected_flits_total).sum()
-    }
-
-    /// Total flits destroyed by faults since construction.
-    pub fn dropped_flits_total(&self) -> u64 {
-        if let Some(m) = &self.master {
-            return m.dropped_flits_total();
-        }
-        self.shards.iter().map(Simulator::dropped_flits_total).sum()
-    }
-
-    /// Whether all link credits are back at their initial value on a
-    /// drained network. Each credit counter has exactly one owning
-    /// shard (the link's sender side); non-owning replicas are never
-    /// decremented, so the conjunction over shards is exact.
-    pub fn credits_restored(&self) -> bool {
-        if let Some(m) = &self.master {
-            return m.credits_restored();
-        }
-        self.shards.iter().all(Simulator::credits_restored)
-    }
-
-    /// The merged statistics: the parent's control-plane aggregates
-    /// (detections, reroutes, retransmit/restore bookkeeping) plus
-    /// every shard's data-plane counters. `measured_cycles` is the
-    /// parent's — the shards simulate the *same* cycles, not extra
-    /// ones, so the merge's windows-concatenate addition is overridden.
-    ///
-    /// Each shard builds its per-flow and per-link maps from dense
-    /// accumulators only in [`finish`](Self::finish) (which `run` and
-    /// `drain` call), so this merges what the last finish built; after
-    /// bare [`step`](Self::step)s, call `finish` first.
-    pub fn stats(&self) -> SimStats {
-        if let Some(m) = &self.master {
-            return m.stats().clone();
-        }
-        let parent = self.parent.as_ref().expect("split");
-        let mut s = parent.stats().clone();
-        for sh in &self.shards {
-            s.merge(sh.stats());
-        }
-        s.measured_cycles = parent.stats().measured_cycles;
-        s
-    }
-
-    /// Materializes the partition: clones the configured master into
-    /// localized shards and turns the master into the control-plane
-    /// parent. Idempotent; called by the first step.
-    fn ensure_split(&mut self) {
-        let Some(master) = self.master.take() else {
-            return;
-        };
-        let partitioning = Partitioning::auto(master.part_topology(), self.workers);
-        self.shards = master.part_split(&partitioning.shard_of_node, partitioning.shards);
-        self.shard_of_node = partitioning.shard_of_node;
-        self.parent = Some(master);
-    }
-
-    /// Advances the simulation by one cycle: parent control phases,
-    /// shard data phases, barrier merge. Serial in-place (no worker
-    /// threads); `run`/`drain` dispatch the shard stepping to workers.
-    pub fn step(&mut self) {
-        self.ensure_split();
-        let parent = self.parent.as_mut().expect("split");
-        parent.part_parent_control(&mut self.shards, &self.shard_of_node);
-        for sh in &mut self.shards {
-            sh.part_step_data();
-        }
-        parent.part_absorb_outboxes(&mut self.shards, &self.shard_of_node);
-    }
-
-    /// Runs the simulation for `cycles` cycles on the configured worker
-    /// threads and finalizes statistics.
-    pub fn run(&mut self, cycles: u64) {
-        self.run_loop(cycles, false);
-        self.finish();
-    }
-
-    /// Stops packet generation and runs until the network drains
-    /// (including pending retransmissions) or `max_cycles` elapse;
-    /// returns whether the network fully drained.
-    pub fn drain(&mut self, max_cycles: u64) -> bool {
-        self.ensure_split();
-        self.stop_generation();
-        self.run_loop(max_cycles, true);
-        self.finish();
-        self.flits_in_network() == 0 && self.flits_queued() == 0
-    }
-
-    /// Finalizes cycle-derived statistics. External `step` loops call
-    /// this once after their last step; `run`/`drain` do it implicitly.
-    pub fn finish(&mut self) {
-        if let Some(m) = &mut self.master {
-            m.finish();
-            return;
-        }
-        self.parent.as_mut().expect("split").finish();
-        for sh in &mut self.shards {
-            sh.finish();
-        }
-    }
-
-    /// Whether the fabric, the source queues and the retransmit layer
-    /// are all empty (the drain-loop stop condition).
-    fn idle(parent: &Simulator, shards: &[Simulator]) -> bool {
-        let in_network: i64 = shards.iter().map(Simulator::part_in_network_raw).sum();
-        in_network <= 0
-            && shards.iter().all(|s| s.flits_queued() == 0)
-            && parent.pending_retransmits() == 0
-    }
-
-    /// The shared engine of `run` and `drain`: steps up to `cycles`
-    /// cycles, stopping early when idle if `stop_when_idle`. With more
-    /// than one (budget-granted) worker, shards are dispatched each
-    /// cycle to persistent worker threads over channels; shard `i` is
-    /// always handled by worker `i % workers`, and shards share no
-    /// state within a cycle, so scheduling cannot influence results.
-    fn run_loop(&mut self, cycles: u64, stop_when_idle: bool) {
-        self.ensure_split();
-        let nshards = self.shards.len();
-        let lease = self.budget.as_ref().map(|b| b.reserve(self.workers));
+/// The shared engine of a sharded simulator's `run` and `drain`: steps
+/// up to `cycles` cycles, stopping early when idle if `stop_when_idle`.
+/// With more than one (budget-granted) worker, shards are dispatched
+/// each cycle to persistent worker threads over channels; shard `i` is
+/// always handled by worker `i % workers`, and shards share no state
+/// within a cycle, so scheduling cannot influence results.
+pub(crate) fn run_loop(sim: &mut Simulator, cycles: u64, stop_when_idle: bool) {
+    let want = sim.config().partition_workers;
+    with_shards(sim, |parent, split| {
+        let lease = split.budget.as_ref().map(|b| b.reserve(want));
         let workers = lease
             .as_ref()
-            .map_or(self.workers, noc_par::ThreadLease::granted)
-            .min(nshards)
-            .max(1);
-        if workers <= 1 || nshards <= 1 {
+            .map_or(want, noc_par::ThreadLease::granted)
+            .min(split.shards.len());
+        let shards = &mut split.shards;
+        let shard_of_node = &split.plan.shard_of_node;
+        if workers <= 1 {
             for _ in 0..cycles {
-                if stop_when_idle && Self::idle(self.parent.as_ref().expect("split"), &self.shards)
-                {
+                if stop_when_idle && idle(parent, shards) {
                     break;
                 }
-                self.step();
+                cycle(parent, shards, shard_of_node);
             }
             return;
         }
-        let parent = self.parent.as_mut().expect("split");
-        let shards = &mut self.shards;
-        let shard_of_node = &self.shard_of_node;
+        let nshards = shards.len();
         std::thread::scope(|scope| {
             let (done_tx, done_rx) = mpsc::channel::<(usize, Simulator)>();
             let mut cmd: Vec<mpsc::Sender<(usize, Simulator)>> = Vec::with_capacity(workers);
@@ -539,7 +256,7 @@ impl PartitionedSimulator {
             drop(done_tx);
             let mut back: Vec<Option<Simulator>> = (0..nshards).map(|_| None).collect();
             for _ in 0..cycles {
-                if stop_when_idle && Self::idle(parent, shards) {
+                if stop_when_idle && idle(parent, shards) {
                     break;
                 }
                 parent.part_parent_control(shards, shard_of_node);
@@ -554,12 +271,13 @@ impl PartitionedSimulator {
                 parent.part_absorb_outboxes(shards, shard_of_node);
             }
         });
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimConfig;
     use crate::patterns;
     use noc_spec::CoreId;
     use noc_topology::generators::mesh;
@@ -599,6 +317,29 @@ mod tests {
     }
 
     #[test]
+    fn fewer_than_two_bands_stays_serial() {
+        let fabric = mesh_fabric(2, 2);
+        assert!(Split::for_workers(&fabric.topology, 1).is_none());
+        assert!(Split::for_workers(&fabric.topology, 2).is_some());
+        assert!(Split::for_workers(&mesh_fabric(1, 1).topology, 4).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "before its first step")]
+    fn add_source_after_the_split_panics() {
+        let fabric = mesh_fabric(4, 4);
+        let mut sources = patterns::uniform_random(&fabric, 0.05, 3).expect("pattern");
+        let late = sources.pop().expect("a source");
+        let cfg = SimConfig::default().with_partitioned_engine(2);
+        let mut sim = Simulator::new(fabric.topology, cfg);
+        for s in sources {
+            sim.add_source(s);
+        }
+        sim.step();
+        sim.add_source(late);
+    }
+
+    #[test]
     fn partitioned_run_matches_serial() {
         let fabric = mesh_fabric(4, 4);
         let sources = patterns::uniform_random(&fabric, 0.08, 11).expect("pattern");
@@ -609,12 +350,12 @@ mod tests {
         serial.run(1_500);
         for workers in [1, 2, 4] {
             let cfg = SimConfig::default().with_partitioned_engine(workers);
-            let mut part = PartitionedSimulator::new(fabric.topology.clone(), cfg);
+            let mut part = Simulator::new(fabric.topology.clone(), cfg);
             for s in &sources {
                 part.add_source(s.clone());
             }
             part.run(1_500);
-            assert_eq!(&part.stats(), serial.stats(), "workers = {workers}");
+            assert_eq!(part.stats(), serial.stats(), "workers = {workers}");
             assert_eq!(part.injected_flits_total(), serial.injected_flits_total());
             assert_eq!(part.ejected_flits_total(), serial.ejected_flits_total());
         }
@@ -632,7 +373,7 @@ mod tests {
         let cfg = SimConfig::default()
             .with_warmup(100)
             .with_partitioned_engine(2);
-        let mut sim = PartitionedSimulator::new(fabric.topology, cfg);
+        let mut sim = Simulator::new(fabric.topology, cfg);
         for s in sources {
             sim.add_source(s);
         }
@@ -647,7 +388,7 @@ mod tests {
     fn partitioned_drain_restores_credits() {
         let fabric = mesh_fabric(4, 4);
         let cfg = SimConfig::default().with_partitioned_engine(4);
-        let mut sim = PartitionedSimulator::new(fabric.topology.clone(), cfg);
+        let mut sim = Simulator::new(fabric.topology.clone(), cfg);
         for s in patterns::uniform_random(&fabric, 0.10, 3).expect("pattern") {
             sim.add_source(s);
         }

@@ -31,12 +31,10 @@
 //! routes only after re-verifying them against the channel dependency
 //! graph — a healed link is never blindly reused.
 
-use crate::config::SimConfig;
 use crate::engine::Simulator;
 use crate::fault::route_endpoints;
-use crate::partition::PartitionedSimulator;
-use crate::traffic::{Destination, TrafficSource};
-use noc_spec::fault::{FaultPlan, RecoveryConfig};
+use crate::traffic::Destination;
+use noc_spec::fault::FaultPlan;
 use noc_spec::{CoreId, FlowId};
 use noc_topology::deadlock::IncrementalCdg;
 use noc_topology::fault::degraded_reroute_incremental;
@@ -45,160 +43,6 @@ use noc_topology::graph::{LinkId, NodeId};
 use noc_topology::routing::Route;
 use noc_topology::{TopologyError, TurnModel};
 use std::collections::BTreeSet;
-
-/// The engine surface the [`OnlineRecovery`] controller drives.
-///
-/// Both the serial [`Simulator`] and the sharded
-/// [`PartitionedSimulator`] implement it, so the same closed detection
-/// → replan → hot-swap loop runs unchanged over either engine — and
-/// produces bit-identical results, since a partitioned run raises the
-/// same notices in the same cycles as its serial twin (the watchdogs
-/// live on the control-plane parent).
-pub trait RecoverableSimulator {
-    /// The simulator's configuration.
-    fn config(&self) -> &SimConfig;
-    /// Turns on watchdog detection, epoch swaps and NI retransmission.
-    fn enable_recovery(&mut self, recovery: RecoveryConfig);
-    /// Installs a fault plan's link-state schedule.
-    fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), TopologyError>;
-    /// The registered traffic sources, in registration order, with
-    /// their *currently installed* destinations.
-    fn sources(&self) -> impl Iterator<Item = &TrafficSource>;
-    /// Drains the engine's queued [`RecoveryNotice`]s.
-    fn take_recovery_notices(&mut self) -> Vec<RecoveryNotice>;
-    /// Requests an epoch-based routing-table hot-swap.
-    fn request_route_swap(
-        &mut self,
-        ni: NodeId,
-        flow: FlowId,
-        destination: Destination,
-        failed_at: u64,
-        detected_at: u64,
-        count_rerouted: bool,
-    );
-    /// Advances the simulation one cycle.
-    fn step(&mut self);
-    /// Finalizes cycle-derived statistics.
-    fn finish(&mut self);
-    /// Stops packet generation without draining.
-    fn stop_generation(&mut self);
-    /// Flits currently inside the fabric.
-    fn flits_in_network(&self) -> usize;
-    /// Flits waiting in source queues.
-    fn flits_queued(&self) -> usize;
-    /// Retransmissions scheduled but not yet re-emitted.
-    fn pending_retransmits(&self) -> usize;
-}
-
-impl RecoverableSimulator for Simulator {
-    fn config(&self) -> &SimConfig {
-        Simulator::config(self)
-    }
-    fn enable_recovery(&mut self, recovery: RecoveryConfig) {
-        Simulator::enable_recovery(self, recovery);
-    }
-    fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), TopologyError> {
-        Simulator::set_fault_plan(self, plan)
-    }
-    fn sources(&self) -> impl Iterator<Item = &TrafficSource> {
-        Simulator::sources(self)
-    }
-    fn take_recovery_notices(&mut self) -> Vec<RecoveryNotice> {
-        Simulator::take_recovery_notices(self)
-    }
-    fn request_route_swap(
-        &mut self,
-        ni: NodeId,
-        flow: FlowId,
-        destination: Destination,
-        failed_at: u64,
-        detected_at: u64,
-        count_rerouted: bool,
-    ) {
-        Simulator::request_route_swap(
-            self,
-            ni,
-            flow,
-            destination,
-            failed_at,
-            detected_at,
-            count_rerouted,
-        );
-    }
-    fn step(&mut self) {
-        Simulator::step(self);
-    }
-    fn finish(&mut self) {
-        Simulator::finish(self);
-    }
-    fn stop_generation(&mut self) {
-        Simulator::stop_generation(self);
-    }
-    fn flits_in_network(&self) -> usize {
-        Simulator::flits_in_network(self)
-    }
-    fn flits_queued(&self) -> usize {
-        Simulator::flits_queued(self)
-    }
-    fn pending_retransmits(&self) -> usize {
-        Simulator::pending_retransmits(self)
-    }
-}
-
-impl RecoverableSimulator for PartitionedSimulator {
-    fn config(&self) -> &SimConfig {
-        PartitionedSimulator::config(self)
-    }
-    fn enable_recovery(&mut self, recovery: RecoveryConfig) {
-        PartitionedSimulator::enable_recovery(self, recovery);
-    }
-    fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), TopologyError> {
-        PartitionedSimulator::set_fault_plan(self, plan)
-    }
-    fn sources(&self) -> impl Iterator<Item = &TrafficSource> {
-        PartitionedSimulator::sources(self)
-    }
-    fn take_recovery_notices(&mut self) -> Vec<RecoveryNotice> {
-        PartitionedSimulator::take_recovery_notices(self)
-    }
-    fn request_route_swap(
-        &mut self,
-        ni: NodeId,
-        flow: FlowId,
-        destination: Destination,
-        failed_at: u64,
-        detected_at: u64,
-        count_rerouted: bool,
-    ) {
-        PartitionedSimulator::request_route_swap(
-            self,
-            ni,
-            flow,
-            destination,
-            failed_at,
-            detected_at,
-            count_rerouted,
-        );
-    }
-    fn step(&mut self) {
-        PartitionedSimulator::step(self);
-    }
-    fn finish(&mut self) {
-        PartitionedSimulator::finish(self);
-    }
-    fn stop_generation(&mut self) {
-        PartitionedSimulator::stop_generation(self);
-    }
-    fn flits_in_network(&self) -> usize {
-        PartitionedSimulator::flits_in_network(self)
-    }
-    fn flits_queued(&self) -> usize {
-        PartitionedSimulator::flits_queued(self)
-    }
-    fn pending_retransmits(&self) -> usize {
-        PartitionedSimulator::pending_retransmits(self)
-    }
-}
 
 /// A watchdog-detected link-state change, raised by the engine for the
 /// recovery controller.
@@ -293,8 +137,8 @@ impl<'a> OnlineRecovery<'a> {
     ///
     /// Contrast with [`crate::fault::install_fault_plan`], the offline
     /// oracle that reads the plan ahead of time.
-    pub fn install<S: RecoverableSimulator>(
-        sim: &mut S,
+    pub fn install(
+        sim: &mut Simulator,
         mesh: &'a Mesh,
         model: TurnModel,
         plan: &FaultPlan,
@@ -350,7 +194,7 @@ impl<'a> OnlineRecovery<'a> {
     /// detected-failed set and replans affected flows, requesting
     /// epoch-based hot-swaps. Call after every `step` (cheap when idle:
     /// one empty-vec check inside the engine).
-    pub fn service<S: RecoverableSimulator>(&mut self, sim: &mut S) {
+    pub fn service(&mut self, sim: &mut Simulator) {
         let notices = sim.take_recovery_notices();
         for n in notices {
             match n {
@@ -378,7 +222,7 @@ impl<'a> OnlineRecovery<'a> {
     /// A degraded flow whose original routes are clean again is
     /// restored — but only once the originals re-verify deadlock-free
     /// in the CDG alongside everyone else's current routes.
-    fn replan<S: RecoverableSimulator>(&mut self, sim: &mut S, failed_at: u64, detected_at: u64) {
+    fn replan(&mut self, sim: &mut Simulator, failed_at: u64, detected_at: u64) {
         for i in 0..self.flows.len() {
             let (restorable, broken) = {
                 let f = &self.flows[i];
@@ -453,7 +297,7 @@ impl<'a> OnlineRecovery<'a> {
     /// Steps the simulation `cycles` cycles with the recovery loop
     /// closed (detect → replan → hot-swap each cycle), then finalizes
     /// statistics.
-    pub fn run<S: RecoverableSimulator>(&mut self, sim: &mut S, cycles: u64) {
+    pub fn run(&mut self, sim: &mut Simulator, cycles: u64) {
         for _ in 0..cycles {
             sim.step();
             self.service(sim);
@@ -464,7 +308,7 @@ impl<'a> OnlineRecovery<'a> {
     /// Stops generation and steps until the network drains (including
     /// pending retransmissions) or `max_cycles` elapse, recovery loop
     /// closed. Returns whether the network fully drained.
-    pub fn drain<S: RecoverableSimulator>(&mut self, sim: &mut S, max_cycles: u64) -> bool {
+    pub fn drain(&mut self, sim: &mut Simulator, max_cycles: u64) -> bool {
         sim.stop_generation();
         for _ in 0..max_cycles {
             if sim.flits_in_network() == 0

@@ -1,22 +1,21 @@
-//! Three-way bit-parity: scan engine ≡ event engine ≡ partitioned
-//! engine.
+//! Bit-parity of one `Simulator` type across its three ways to step:
+//! scan engine ≡ event engine ≡ sharded (`with_partitioned_engine`).
 //!
 //! The event wheel, activity lists, and heap-scheduled Constant sources
-//! are pure *scheduling* optimizations, and the partitioned engine adds
-//! only *spatial decomposition* on top: for identical inputs (topology,
-//! config, sources, seed, fault plan) all three engines must produce
-//! the **identical** [`SimStats`], flit totals, and drained end state —
-//! bit for bit, not statistically — at any worker count. These tests
-//! sweep that claim across random mesh shapes, loads, packet lengths,
-//! buffer depths, VC counts, flow-control disciplines, traffic shapes,
-//! fault schedules, and the closed online-recovery loop, plus parallel
-//! sweeps at several worker counts and partitioned runs at 1/2/4/8
-//! workers.
+//! are pure *scheduling* optimizations, and sharding adds only *spatial
+//! decomposition* on top: for identical inputs (topology, config,
+//! sources, seed, fault plan) all three must produce the **identical**
+//! [`SimStats`], flit totals, and drained end state — bit for bit, not
+//! statistically — at any worker count. These tests sweep that claim
+//! across random mesh shapes, loads, packet lengths, buffer depths, VC
+//! counts, flow-control disciplines, traffic shapes, fault schedules,
+//! and the closed online-recovery loop, plus parallel sweeps at several
+//! worker counts and partitioned configs at 1/2/4/8 workers (1 worker
+//! is the serial event engine by construction).
 
 use noc_sim::config::{FlowControl, SimConfig};
 use noc_sim::engine::Simulator;
 use noc_sim::gals::DomainMap;
-use noc_sim::partition::PartitionedSimulator;
 use noc_sim::patterns;
 use noc_sim::qos::SlotTable;
 use noc_sim::sweep::SweepRunner;
@@ -47,73 +46,12 @@ fn shaped_sources(m: &Mesh, rate: f64, pf: usize, shape_sel: u8) -> Vec<TrafficS
 }
 
 /// Asserts both simulators reached the same observable state.
-fn assert_same_state(event: &Simulator, scan: &Simulator, when: &str) {
-    assert_eq!(event.cycle(), scan.cycle(), "cycle diverged {when}");
-    assert_eq!(
-        event.injected_flits_total(),
-        scan.injected_flits_total(),
-        "injected totals diverged {when}"
-    );
-    assert_eq!(
-        event.ejected_flits_total(),
-        scan.ejected_flits_total(),
-        "ejected totals diverged {when}"
-    );
-    assert_eq!(
-        event.dropped_flits_total(),
-        scan.dropped_flits_total(),
-        "dropped totals diverged {when}"
-    );
-    assert_eq!(
-        event.flits_in_network(),
-        scan.flits_in_network(),
-        "in-network occupancy diverged {when}"
-    );
-    assert_eq!(
-        event.flits_queued(),
-        scan.flits_queued(),
-        "queue occupancy diverged {when}"
-    );
-    assert_eq!(event.epoch(), scan.epoch(), "epoch diverged {when}");
-    assert_eq!(event.stats(), scan.stats(), "SimStats diverged {when}");
+fn assert_same_state(sim: &Simulator, reference: &Simulator, when: &str) {
+    Snapshot::of(reference).assert_matches(sim, when);
 }
 
-/// Asserts a partitioned simulator reached the same observable state as
-/// the serial reference (`stats()` is owned on the partitioned side —
-/// the shard merge — hence the separate helper).
-fn assert_part_same_state(part: &PartitionedSimulator, reference: &Simulator, when: &str) {
-    assert_eq!(part.cycle(), reference.cycle(), "cycle diverged {when}");
-    assert_eq!(
-        part.injected_flits_total(),
-        reference.injected_flits_total(),
-        "injected totals diverged {when}"
-    );
-    assert_eq!(
-        part.ejected_flits_total(),
-        reference.ejected_flits_total(),
-        "ejected totals diverged {when}"
-    );
-    assert_eq!(
-        part.dropped_flits_total(),
-        reference.dropped_flits_total(),
-        "dropped totals diverged {when}"
-    );
-    assert_eq!(
-        part.flits_in_network(),
-        reference.flits_in_network(),
-        "in-network occupancy diverged {when}"
-    );
-    assert_eq!(
-        part.flits_queued(),
-        reference.flits_queued(),
-        "queue occupancy diverged {when}"
-    );
-    assert_eq!(part.epoch(), reference.epoch(), "epoch diverged {when}");
-    assert_eq!(&part.stats(), reference.stats(), "SimStats diverged {when}");
-}
-
-/// A point-in-time copy of a serial simulator's observable state, for
-/// comparing a later partitioned replay chunk by chunk.
+/// A point-in-time copy of a simulator's observable state, for
+/// comparing a later replay chunk by chunk.
 #[derive(Debug, Clone)]
 struct Snapshot {
     cycle: u64,
@@ -140,35 +78,35 @@ impl Snapshot {
         }
     }
 
-    fn assert_part(&self, part: &PartitionedSimulator, when: &str) {
-        assert_eq!(part.cycle(), self.cycle, "cycle diverged {when}");
+    fn assert_matches(&self, sim: &Simulator, when: &str) {
+        assert_eq!(sim.cycle(), self.cycle, "cycle diverged {when}");
         assert_eq!(
-            part.injected_flits_total(),
+            sim.injected_flits_total(),
             self.injected,
             "injected totals diverged {when}"
         );
         assert_eq!(
-            part.ejected_flits_total(),
+            sim.ejected_flits_total(),
             self.ejected,
             "ejected totals diverged {when}"
         );
         assert_eq!(
-            part.dropped_flits_total(),
+            sim.dropped_flits_total(),
             self.dropped,
             "dropped totals diverged {when}"
         );
         assert_eq!(
-            part.flits_in_network(),
+            sim.flits_in_network(),
             self.in_network,
             "in-network occupancy diverged {when}"
         );
         assert_eq!(
-            part.flits_queued(),
+            sim.flits_queued(),
             self.queued,
             "queue occupancy diverged {when}"
         );
-        assert_eq!(part.epoch(), self.epoch, "epoch diverged {when}");
-        assert_eq!(part.stats(), self.stats, "SimStats diverged {when}");
+        assert_eq!(sim.epoch(), self.epoch, "epoch diverged {when}");
+        assert_eq!(sim.stats(), &self.stats, "SimStats diverged {when}");
     }
 }
 
@@ -220,14 +158,14 @@ proptest! {
         // Third way: the partitioned engine at every worker count.
         for workers in PARITY_WORKERS {
             let pcfg = cfg.with_partitioned_engine(workers);
-            let mut part = PartitionedSimulator::new(m.topology.clone(), pcfg).with_seed(seed);
+            let mut part = Simulator::new(m.topology.clone(), pcfg).with_seed(seed);
             for s in &sources {
                 part.add_source(s.clone());
             }
             part.run(1_200);
             let pd = part.drain(40_000);
             prop_assert_eq!(pd, ed, "partitioned drain outcome diverged ({} workers)", workers);
-            assert_part_same_state(&part, &event, &format!("partitioned, {workers} workers"));
+            assert_same_state(&part, &event, &format!("partitioned, {workers} workers"));
             prop_assert_eq!(part.credits_restored(), event.credits_restored());
         }
     }
@@ -318,7 +256,7 @@ proptest! {
         for workers in PARITY_WORKERS {
             let pcfg = cfg.with_partitioned_engine(workers);
             let mut part =
-                PartitionedSimulator::new(m.topology.clone(), pcfg).with_seed(seed);
+                Simulator::new(m.topology.clone(), pcfg).with_seed(seed);
             for s in &sources {
                 part.add_source(s.clone());
             }
@@ -330,14 +268,14 @@ proptest! {
                     rec_p.service(&mut part);
                 }
                 part.finish();
-                snap.assert_part(
+                snap.assert_matches(
                     &part,
                     &format!("partitioned ({workers} workers) at cycle {}", 200 * (chunk + 1)),
                 );
             }
             let pd = rec_p.drain(&mut part, 40_000);
             prop_assert_eq!(pd, ed, "partitioned recovery drain diverged ({} workers)", workers);
-            assert_part_same_state(
+            assert_same_state(
                 &part,
                 &event,
                 &format!("partitioned ({workers} workers) after recovery drain"),
@@ -442,7 +380,7 @@ proptest! {
 
         for workers in PARITY_WORKERS {
             let pcfg = cfg.with_partitioned_engine(workers);
-            let mut part = PartitionedSimulator::new(m.topology.clone(), pcfg).with_seed(seed);
+            let mut part = Simulator::new(m.topology.clone(), pcfg).with_seed(seed);
             for s in &sources {
                 part.add_source(s.clone());
             }
@@ -450,7 +388,7 @@ proptest! {
             part.run(1_000);
             let pd = part.drain(60_000);
             prop_assert_eq!(pd, ed, "partitioned corrupted drain diverged ({} workers, {:?})", workers, ec);
-            assert_part_same_state(
+            assert_same_state(
                 &part,
                 &event,
                 &format!("partitioned corrupted, {workers} workers, {ec:?}"),
@@ -585,7 +523,7 @@ fn event_engine_matches_scan_engine_with_gals_and_tdma() {
     // cycle-dependent ways that every shard must honor identically.
     for workers in PARITY_WORKERS {
         let pcfg = cfg.with_partitioned_engine(workers);
-        let mut part = PartitionedSimulator::new(m.topology.clone(), pcfg).with_seed(11);
+        let mut part = Simulator::new(m.topology.clone(), pcfg).with_seed(11);
         part.set_domains(domains.clone());
         part.set_slot_table(gt_ni, table.clone());
         for s in &sources {
@@ -597,7 +535,7 @@ fn event_engine_matches_scan_engine_with_gals_and_tdma() {
             pd, ed,
             "partitioned GALS/TDMA drain diverged ({workers} workers)"
         );
-        assert_part_same_state(
+        assert_same_state(
             &part,
             &event,
             &format!("partitioned GALS/TDMA, {workers} workers"),
@@ -624,13 +562,12 @@ fn partitioned_threaded_run_matches_serial_event_engine() {
     event.run(4_000);
 
     // Threaded run at 8 workers.
-    let mut par8 =
-        PartitionedSimulator::new(m.topology.clone(), cfg.with_partitioned_engine(8)).with_seed(77);
+    let mut par8 = Simulator::new(m.topology.clone(), cfg.with_partitioned_engine(8)).with_seed(77);
     for s in &sources {
         par8.add_source(s.clone());
     }
     par8.run(4_000);
-    assert_part_same_state(&par8, &event, "threaded run, 8 workers");
+    assert_same_state(&par8, &event, "threaded run, 8 workers");
     assert!(
         par8.stats().total_delivered_packets > 0,
         "saturated run must deliver traffic"
@@ -638,7 +575,7 @@ fn partitioned_threaded_run_matches_serial_event_engine() {
 
     // Hand-stepped loop (the serial dispatch path) at the same config.
     let mut stepped =
-        PartitionedSimulator::new(m.topology.clone(), cfg.with_partitioned_engine(8)).with_seed(77);
+        Simulator::new(m.topology.clone(), cfg.with_partitioned_engine(8)).with_seed(77);
     for s in &sources {
         stepped.add_source(s.clone());
     }
@@ -646,7 +583,7 @@ fn partitioned_threaded_run_matches_serial_event_engine() {
         stepped.step();
     }
     stepped.finish();
-    assert_part_same_state(&stepped, &event, "hand-stepped partitioned run");
+    assert_same_state(&stepped, &event, "hand-stepped partitioned run");
 }
 
 /// Parallel sweeps stay deterministic with the event engine at any

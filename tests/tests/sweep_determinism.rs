@@ -6,35 +6,48 @@
 
 use noc_sim::config::SimConfig;
 use noc_sim::engine::Simulator;
-use noc_sim::partition::PartitionedSimulator;
 use noc_sim::patterns;
 use noc_sim::stats::SimStats;
 use noc_sim::sweep::{point_seed, SweepRunner, ThreadBudget};
 use noc_spec::CoreId;
 use noc_topology::generators::mesh;
+use std::sync::Arc;
 
 fn sweep_points() -> Vec<f64> {
     vec![0.02, 0.05, 0.1, 0.2, 0.3]
 }
 
-fn eval_point(rate: &f64, seed: u64) -> SimStats {
-    let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
-    let fabric = mesh(4, 4, &cores, 32).expect("16 cores fit a 4x4 mesh");
-    let cfg = SimConfig::default().with_warmup(500);
-    let mut sim = Simulator::new(fabric.topology.clone(), cfg).with_seed(seed);
-    for s in patterns::uniform_random(&fabric, *rate, 4).expect("rate in range") {
-        sim.add_source(s);
+/// The sweep point: a 4×4 uniform-random simulation at `rate`, stepped
+/// on `workers` shard workers (1 = the serial engine), optionally
+/// drawing them from a shared thread budget.
+fn eval_point(
+    workers: usize,
+    budget: Option<Arc<ThreadBudget>>,
+) -> impl Fn(&f64, u64) -> SimStats + Sync {
+    move |rate, seed| {
+        let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
+        let fabric = mesh(4, 4, &cores, 32).expect("16 cores fit a 4x4 mesh");
+        let cfg = SimConfig::default()
+            .with_warmup(500)
+            .with_partitioned_engine(workers);
+        let mut sim = Simulator::new(fabric.topology.clone(), cfg).with_seed(seed);
+        if let Some(b) = &budget {
+            sim = sim.with_thread_budget(Arc::clone(b));
+        }
+        for s in patterns::uniform_random(&fabric, *rate, 4).expect("rate in range") {
+            sim.add_source(s);
+        }
+        sim.run(3_000);
+        sim.into_stats()
     }
-    sim.run(3_000);
-    sim.into_stats()
 }
 
 #[test]
 fn parallel_sweep_matches_serial_bitwise() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run(17, &points, eval_point);
+    let serial = SweepRunner::serial().run(17, &points, eval_point(1, None));
     for threads in [2, 4, 8] {
-        let parallel = SweepRunner::with_threads(threads).run(17, &points, eval_point);
+        let parallel = SweepRunner::with_threads(threads).run(17, &points, eval_point(1, None));
         assert_eq!(
             parallel, serial,
             "per-point SimStats must be bit-identical at {threads} workers"
@@ -57,11 +70,11 @@ fn per_point_seeds_are_scheduling_independent() {
 #[test]
 fn merged_sweep_is_thread_count_invariant() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run_merged(23, &points, eval_point);
-    let parallel = SweepRunner::with_threads(4).run_merged(23, &points, eval_point);
+    let serial = SweepRunner::serial().run_merged(23, &points, eval_point(1, None));
+    let parallel = SweepRunner::with_threads(4).run_merged(23, &points, eval_point(1, None));
     assert_eq!(parallel, serial);
     // The merge accumulates measurement windows across points.
-    let one = eval_point(&points[0], point_seed(23, 0));
+    let one = eval_point(1, None)(&points[0], point_seed(23, 0));
     assert_eq!(
         serial.measured_cycles,
         one.measured_cycles * points.len() as u64
@@ -201,42 +214,15 @@ fn parallel_online_recovery_sweep_matches_serial_bitwise() {
     }
 }
 
-/// Like `eval_point`, but each point runs the *partitioned* intra-sim
-/// engine (outer×inner parallelism), optionally drawing its workers
-/// from a shared thread budget.
-fn eval_point_partitioned(
-    rate: &f64,
-    seed: u64,
-    workers: usize,
-    budget: Option<std::sync::Arc<ThreadBudget>>,
-) -> SimStats {
-    let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
-    let fabric = mesh(4, 4, &cores, 32).expect("16 cores fit a 4x4 mesh");
-    let cfg = SimConfig::default()
-        .with_warmup(500)
-        .with_partitioned_engine(workers);
-    let mut sim = PartitionedSimulator::new(fabric.topology.clone(), cfg).with_seed(seed);
-    if let Some(b) = budget {
-        sim = sim.with_thread_budget(b);
-    }
-    for s in patterns::uniform_random(&fabric, *rate, 4).expect("rate in range") {
-        sim.add_source(s);
-    }
-    sim.run(3_000);
-    sim.stats()
-}
-
 /// Outer×inner parallelism stays bit-identical: a parallel sweep whose
 /// every point is itself a multi-worker partitioned simulation matches
 /// the serial sweep of serial simulators, point for point.
 #[test]
 fn sweep_of_partitioned_sims_matches_serial_bitwise() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run(17, &points, eval_point);
+    let serial = SweepRunner::serial().run(17, &points, eval_point(1, None));
     for (threads, workers) in [(2, 2), (4, 4), (8, 2)] {
-        let nested = SweepRunner::with_threads(threads).run(17, &points, |rate, seed| {
-            eval_point_partitioned(rate, seed, workers, None)
-        });
+        let nested = SweepRunner::with_threads(threads).run(17, &points, eval_point(workers, None));
         assert_eq!(
             nested, serial,
             "sweep({threads} threads) of partitioned({workers} workers) sims diverged"
@@ -252,15 +238,13 @@ fn sweep_of_partitioned_sims_matches_serial_bitwise() {
 #[test]
 fn shared_thread_budget_caps_nested_parallelism() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run(17, &points, eval_point);
+    let serial = SweepRunner::serial().run(17, &points, eval_point(1, None));
     // A deliberately tiny budget: 3 workers for a 4-thread sweep of
     // 4-worker partitioned sims (which would want 4 + 4×4 = 20).
-    let budget = std::sync::Arc::new(ThreadBudget::new(3));
+    let budget = Arc::new(ThreadBudget::new(3));
     let capped = SweepRunner::with_threads(4)
-        .with_thread_budget(std::sync::Arc::clone(&budget))
-        .run(17, &points, |rate, seed| {
-            eval_point_partitioned(rate, seed, 4, Some(std::sync::Arc::clone(&budget)))
-        });
+        .with_thread_budget(Arc::clone(&budget))
+        .run(17, &points, eval_point(4, Some(Arc::clone(&budget))));
     assert_eq!(
         capped, serial,
         "budget pressure must shape wall-clock only, never results"
