@@ -75,10 +75,14 @@ tier1() {
   # The debug run above already includes the engine parity suite — one
   # Simulator type, scan == event == sharded at 1/2/4/8 workers, incl.
   # faults, online recovery, GALS and TDMA (with conservation
-  # debug_asserts armed); repeat it in release so the exact
-  # configuration users run is also proven bit-identical.
+  # debug_asserts armed) — and the control-plane golden digests, which
+  # pin the one fault/watchdog/reroute/hot-swap/retransmit control
+  # plane to recorded data at 1 and 4 workers. Repeat both in release
+  # so the exact configuration users run is also proven bit-identical.
   echo "==> tier-1: engine parity (release)"
   cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test engine_parity
+  echo "==> tier-1: control-plane golden digests (release)"
+  cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test control_plane_golden
 }
 
 smoke() {

@@ -74,16 +74,22 @@
 //! `stats` aggregate over the shards. Every other simulator is the
 //! serial engine, whose `step` pays one branch for this. Configuration
 //! (`add_source`, fault plans, domains, …) must precede the split.
+//!
+//! Either way, one control plane (the crate's `control` module) runs the
+//! fault, watchdog, reroute, hot-swap and retransmit phases before the
+//! data phases of each cycle: over the shards once split, and over the
+//! serial simulator itself — its own only shard — otherwise.
 
 use crate::config::ErrorControl;
 use crate::config::{Arbitration, FlowControl, SimConfig};
+use crate::control::{Control, PendingSwap, ScheduledReroute};
 use crate::flit::{Flit, PacketId};
 use crate::gals::DomainMap;
 use crate::partition::{self, Split};
 use crate::qos::SlotTable;
 use crate::recovery::RecoveryNotice;
 use crate::stats::{FlowStats, SimStats};
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::trace::{self, Trace, TraceKind};
 use crate::traffic::{Destination, InjectionProcess, TrafficSource};
 use noc_par::ThreadBudget;
 use noc_spec::fault::{corruption_draw, FaultPlan, FaultTarget, RecoveryConfig};
@@ -93,7 +99,7 @@ use noc_topology::TopologyError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Per-link wire state. The receive buffers and credit counters at the
@@ -401,82 +407,6 @@ struct SourceSlot {
     swap_pending: bool,
 }
 
-/// A pending watchdog deadline. At `due`, the router either declares
-/// `link` dead (`heal == false`, if it is still physically down) or
-/// notices it healed (`heal == true`, if it is still up). The watchdog
-/// observes only physical link state — never the fault plan.
-#[derive(Debug, Clone, Copy)]
-struct Watchdog {
-    due: u64,
-    link: LinkId,
-    /// The cycle the transition being watched happened (telemetry).
-    since: u64,
-    heal: bool,
-}
-
-/// A requested routing-table hot-swap, waiting for its flow to quiesce
-/// (no packet of the flow mid-wormhole at its NI) and for the
-/// controller round-trip delay to elapse.
-#[derive(Debug, Clone)]
-struct PendingSwap {
-    ni: NodeId,
-    flow: FlowId,
-    destination: Destination,
-    /// Failure cycle (baseline for time-to-delivery-restored).
-    failed_at: u64,
-    /// Detection cycle (baseline for reroute latency).
-    detected_at: u64,
-    /// Commit no earlier than this (models the controller round trip).
-    not_before: u64,
-    /// Whether packets generated after the swap count as rerouted and
-    /// the flow's delivery restoration is tracked (true for fault
-    /// detours, false for post-heal restores).
-    count_rerouted: bool,
-}
-
-/// End-to-end retransmit bookkeeping of one lost packet at its NI.
-#[derive(Debug, Clone, Copy)]
-struct RetransmitEntry {
-    /// Source slot the packet (and its re-emissions) originate from.
-    si: usize,
-    flow: FlowId,
-    vc: usize,
-    priority: bool,
-    /// Original injection cycle, preserved across re-emissions so
-    /// latency measures true end-to-end delivery time.
-    injected_at: u64,
-    /// Retransmit attempts scheduled so far.
-    attempts: u32,
-    /// `Some(cycle)`: the next re-emission is due then. `None`: an
-    /// attempt is in flight (awaiting its tail's ejection, the ack).
-    due: Option<u64>,
-    /// Retries or BE budget exhausted: the packet was shed. The entry
-    /// stays as a tombstone so later flits of the same packet cannot
-    /// re-register it.
-    gave_up: bool,
-}
-
-/// One resolved fault transition: `link` goes down (or, for a
-/// transient fault's repair, up) at the start of `cycle`.
-#[derive(Debug, Clone, Copy)]
-struct FaultTransition {
-    cycle: u64,
-    /// Index of the originating event in the fault plan (stats key).
-    event: usize,
-    link: LinkId,
-    up: bool,
-}
-
-/// A scheduled destination swap: at `cycle`, every source at `ni`
-/// with flow `flow` starts using `destination`.
-#[derive(Debug, Clone)]
-struct ScheduledReroute {
-    cycle: u64,
-    ni: NodeId,
-    flow: FlowId,
-    destination: Destination,
-}
-
 /// Outgoing boundary traffic of one partitioned-engine shard,
 /// accumulated during its data phases and drained by the parent at the
 /// per-cycle barrier (see [`crate::partition`]). Every queue is sorted
@@ -596,7 +526,7 @@ pub struct Simulator {
     /// same cycle, which is exactly the visibility a partitioned run
     /// gives a *remote* sender — so the rule must hold for local ones
     /// too, in every engine, for bit-parity. Control-phase credit
-    /// motion (fault drains and flush tails in `fail_link`) stays
+    /// motion (link-failure drains and flush tails) stays
     /// immediate: it runs before the data phases in all engines.
     credit_returns: Vec<(u32, u32)>,
     sources: Vec<SourceSlot>,
@@ -641,9 +571,6 @@ pub struct Simulator {
     /// Plan event index that most recently downed each link, indexed by
     /// `LinkId` (`None` while up).
     link_down_event: Vec<Option<usize>>,
-    /// Resolved fault transitions, sorted ascending by cycle.
-    fault_schedule: Vec<FaultTransition>,
-    fault_cursor: usize,
     /// Beheaded wormhole streams, indexed by `input link * vcs + vc`:
     /// `Some(event)` means the stream's head was destroyed by that fault
     /// event and the remaining flits must be destroyed as they arrive
@@ -651,37 +578,13 @@ pub struct Simulator {
     drop_lock: Vec<Option<usize>>,
     /// Number of active drop locks (cheap guard for the drop phase).
     drop_locks: usize,
-    /// Scheduled destination swaps, sorted ascending by cycle.
-    reroutes: Vec<ScheduledReroute>,
-    reroute_cursor: usize,
-    // --- online recovery (all of it inert while `cfg.recovery` is
-    // `None`: the fault-free hot path pays only emptiness checks) ---
-    /// Current routing epoch. Bumps at most once per cycle, when at
-    /// least one pending hot-swap commits. In-flight packets carry the
-    /// epoch they were routed under and finish on those routes.
+    /// The routing epoch stamped on newly queued packets: the control
+    /// plane's current epoch, set on every shard when it bumps.
     epoch: u64,
-    /// Whether the routers currently *believe* each link dead, indexed
-    /// by `LinkId`. Lags `link_up` by the watchdog detection latency —
-    /// this, not the plan, is what recovery acts on.
-    detected_down: Vec<bool>,
-    /// Pending watchdog deadlines (O(outstanding transitions), small).
-    watchdogs: Vec<Watchdog>,
-    /// Detection/heal notices awaiting the recovery controller.
-    notices: Vec<RecoveryNotice>,
-    /// Requested hot-swaps waiting for their flow to quiesce.
-    pending_swaps: Vec<PendingSwap>,
-    /// Lost packets tracked for NI end-to-end retransmission.
-    retransmit: BTreeMap<PacketId, RetransmitEntry>,
-    /// Entries in `retransmit` with a scheduled re-emission (cheap
-    /// step-phase guard).
-    retransmit_waiting: usize,
-    /// Best-effort retransmit budget spent per flow.
-    retransmit_spent: BTreeMap<FlowId, u32>,
-    /// First source slot registered for each flow (retransmit origin).
-    source_of_flow: BTreeMap<FlowId, usize>,
-    /// Flows awaiting proof of restored delivery after a fault detour:
-    /// flow → (failure cycle baseline, epoch installed at commit).
-    restore_pending: BTreeMap<FlowId, (u64, u64)>,
+    /// The control plane: fault schedule, watchdogs, reroutes, hot-swaps
+    /// and the retransmit layer. Stepped by the serial simulator or a
+    /// sharded one's parent; empty on a shard.
+    ctl: Control,
     // --- event-driven stepping (see module docs). All of the activity
     // state below is maintained only in event mode; the scan engine
     // (`with_scan_engine`) ignores it and sweeps every link/switch/NI
@@ -758,10 +661,6 @@ pub struct Simulator {
     pub(crate) split: Option<Box<Split>>,
     /// Flits across all source queues, same motivation.
     queued_count: u64,
-    /// Earliest pending watchdog deadline (`u64::MAX` when none).
-    watchdog_next_due: u64,
-    /// Earliest scheduled retransmit re-emission (`u64::MAX` when none).
-    retransmit_next_due: u64,
     // --- soft-error control (inert without a corruption schedule: the
     // hot path pays one branch in `launch`) ---
     /// Corruption windows per link, indexed by `LinkId`:
@@ -868,22 +767,10 @@ impl Simulator {
             link_up: vec![true; nlinks],
             links_down: 0,
             link_down_event: vec![None; nlinks],
-            fault_schedule: Vec::new(),
-            fault_cursor: 0,
             drop_lock: vec![None; ports],
             drop_locks: 0,
-            reroutes: Vec::new(),
-            reroute_cursor: 0,
             epoch: 0,
-            detected_down: vec![false; nlinks],
-            watchdogs: Vec::new(),
-            notices: Vec::new(),
-            pending_swaps: Vec::new(),
-            retransmit: BTreeMap::new(),
-            retransmit_waiting: 0,
-            retransmit_spent: BTreeMap::new(),
-            source_of_flow: BTreeMap::new(),
-            restore_pending: BTreeMap::new(),
+            ctl: Control::new(nlinks),
             event_mode: true,
             wheel: vec![Vec::new(); wheel_size],
             wheel_mask: wheel_size as u64 - 1,
@@ -911,8 +798,6 @@ impl Simulator {
             part: None,
             split,
             queued_count: 0,
-            watchdog_next_due: u64::MAX,
-            retransmit_next_due: u64::MAX,
             corrupt_sched: vec![Vec::new(); nlinks],
             corrupt_enabled: false,
             corrupt_plan_seed: 0,
@@ -983,7 +868,9 @@ impl Simulator {
 
     /// Enables packet-event tracing with the given ring-buffer capacity.
     /// Shards do not trace: a sharded simulator records only the events
-    /// of its control plane.
+    /// of its control plane — detections, epoch swaps, retransmissions
+    /// and the drops of a link failure's drain — exactly as the serial
+    /// engine records them.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.assert_configurable();
         self.trace = Some(Trace::new(capacity));
@@ -1038,7 +925,7 @@ impl Simulator {
             self.active_nis.insert(pos, source.ni);
         }
         self.sources_by_ni[source.ni.0].push(idx);
-        let slot = match self.source_of_flow.get(&source.flow) {
+        let slot = match self.ctl.source_of_flow.get(&source.flow) {
             Some(&first) => self.flow_of_source[first],
             None => {
                 self.flow_ids.push(source.flow);
@@ -1047,7 +934,7 @@ impl Simulator {
             }
         };
         self.flow_of_source.push(slot);
-        self.source_of_flow.entry(source.flow).or_insert(idx);
+        self.ctl.source_of_flow.entry(source.flow).or_insert(idx);
         // Classify for event-driven generation: Constant processes fire
         // on a closed-form schedule and draw no randomness, so they can
         // be heap-scheduled; stochastic processes must be polled every
@@ -1164,14 +1051,28 @@ impl Simulator {
         self.data_sum(|s| s.dropped_flits_total)
     }
 
-    /// Whether `link` is currently up (not failed).
-    pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.link_up[link.0]
+    /// The simulator holding node `n`'s state: the shard owning `n`
+    /// once split (every shard also replicates the link states and the
+    /// source registry), else this one.
+    fn node_owner(&self, n: NodeId) -> &Simulator {
+        match (&self.split, self.shards()) {
+            (Some(split), Some(shards)) => &shards[split.plan.shard_of_node[n.0] as usize],
+            _ => self,
+        }
     }
 
-    /// The registered traffic sources, in registration order.
+    /// Whether `link` is currently up (not failed).
+    pub fn link_is_up(&self, link: LinkId) -> bool {
+        self.node_owner(self.link_dst[link.0]).link_up[link.0]
+    }
+
+    /// The registered traffic sources, in registration order, with
+    /// their current destinations.
     pub fn sources(&self) -> impl Iterator<Item = &TrafficSource> {
-        self.sources.iter().map(|s| &s.source)
+        self.sources
+            .iter()
+            .enumerate()
+            .map(|(si, slot)| &self.node_owner(slot.source.ni).sources[si].source)
     }
 
     /// Installs a fault plan: resolves each event's target into concrete
@@ -1181,28 +1082,7 @@ impl Simulator {
     /// Replaces any previously installed plan; call before stepping.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), TopologyError> {
         self.assert_configurable();
-        let mut schedule = Vec::new();
-        for (event, ev) in plan.events().iter().enumerate() {
-            for link in noc_topology::fault::links_of_target(&self.topo, ev.target)? {
-                schedule.push(FaultTransition {
-                    cycle: ev.start,
-                    event,
-                    link,
-                    up: false,
-                });
-                if let Some(repair) = ev.repair_cycle() {
-                    schedule.push(FaultTransition {
-                        cycle: repair,
-                        event,
-                        link,
-                        up: true,
-                    });
-                }
-            }
-        }
-        schedule.sort_by_key(|t| (t.cycle, t.event, t.link, t.up));
-        self.fault_schedule = schedule;
-        self.fault_cursor = 0;
+        self.ctl.schedule_faults(&self.topo, plan)?;
         for sched in &mut self.corrupt_sched {
             sched.clear();
         }
@@ -1243,13 +1123,12 @@ impl Simulator {
         destination: Destination,
     ) {
         self.assert_configurable();
-        self.reroutes.push(ScheduledReroute {
+        self.ctl.schedule_reroute(ScheduledReroute {
             cycle,
             ni,
             flow,
             destination,
         });
-        self.reroutes.sort_by_key(|r| r.cycle);
     }
 
     /// Turns on online recovery with the given knobs. Watchdogs observe
@@ -1262,18 +1141,18 @@ impl Simulator {
 
     /// The current routing epoch (0 until the first hot-swap commits).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.ctl.epoch
     }
 
     /// Whether the routers currently believe `link` is dead. Lags the
     /// physical `link_is_up` by the watchdog detection latency.
     pub fn link_detected_down(&self, link: LinkId) -> bool {
-        self.detected_down[link.0]
+        self.ctl.detected_down[link.0]
     }
 
     /// Retransmissions scheduled but not yet re-emitted.
     pub fn pending_retransmits(&self) -> usize {
-        self.retransmit_waiting
+        self.ctl.retransmit_waiting
     }
 
     /// Stops packet generation without draining (external drain loops —
@@ -1313,7 +1192,7 @@ impl Simulator {
     /// Drains the queued fault-detection and heal notices for the
     /// recovery controller.
     pub fn take_recovery_notices(&mut self) -> Vec<RecoveryNotice> {
-        std::mem::take(&mut self.notices)
+        std::mem::take(&mut self.ctl.notices)
     }
 
     /// Requests an epoch-based routing-table hot-swap for `(ni, flow)`:
@@ -1337,19 +1216,7 @@ impl Simulator {
         count_rerouted: bool,
     ) {
         let delay = self.cfg.recovery.map_or(0, |r| r.reroute_delay);
-        self.set_swap_pending(ni, flow);
-        // The pending swap lives here; a sharded simulator also
-        // quiesces the flow on the shard owning the NI.
-        if let Some(split) = &mut self.split {
-            let owner = split.plan.shard_of_node[ni.0] as usize;
-            if let Some(sh) = split.shards.get_mut(owner) {
-                sh.set_swap_pending(ni, flow);
-            }
-        }
-        // The newest request for a (ni, flow) wins: drop a stale one.
-        self.pending_swaps
-            .retain(|p| !(p.ni == ni && p.flow == flow));
-        self.pending_swaps.push(PendingSwap {
+        self.ctl.request_swap(PendingSwap {
             ni,
             flow,
             destination,
@@ -1358,321 +1225,6 @@ impl Simulator {
             not_before: self.cycle + delay,
             count_rerouted,
         });
-    }
-
-    /// Schedules the down-detection watchdog for a link that just
-    /// failed: heartbeats cross the link at every multiple of the
-    /// heartbeat period, and the receiver declares the link dead at the
-    /// first heartbeat tick by which `watchdog_timeout` cycles have
-    /// passed since the last heartbeat that made it across.
-    fn schedule_down_watchdog(&mut self, link: LinkId, failed_at: u64) {
-        let Some(r) = self.cfg.recovery else {
-            return;
-        };
-        let h = r.heartbeat_period.max(1);
-        let last_heartbeat = (failed_at / h) * h;
-        let deadline = last_heartbeat + r.watchdog_timeout.max(1);
-        let mut due = deadline.div_ceil(h) * h;
-        if due <= failed_at {
-            due = (failed_at / h + 1) * h;
-        }
-        self.watchdog_next_due = self.watchdog_next_due.min(due);
-        self.watchdogs.push(Watchdog {
-            due,
-            link,
-            since: failed_at,
-            heal: false,
-        });
-    }
-
-    /// Schedules the heal-notice watchdog for a detected-down link that
-    /// just came back up: the receiver notices at the first heartbeat
-    /// tick strictly after the repair.
-    fn schedule_heal_watchdog(&mut self, link: LinkId, repaired_at: u64) {
-        let Some(r) = self.cfg.recovery else {
-            return;
-        };
-        let h = r.heartbeat_period.max(1);
-        let due = (repaired_at / h + 1) * h;
-        self.watchdog_next_due = self.watchdog_next_due.min(due);
-        self.watchdogs.push(Watchdog {
-            due,
-            link,
-            since: repaired_at,
-            heal: true,
-        });
-    }
-
-    /// Fires every watchdog whose deadline has arrived. A down-watchdog
-    /// whose link healed in the meantime is silently absorbed (the
-    /// heartbeats resumed before the timeout); likewise a heal-watchdog
-    /// whose link died again.
-    fn poll_watchdogs(&mut self) {
-        let cycle = self.cycle;
-        if !self.watchdogs.iter().any(|w| w.due <= cycle) {
-            return;
-        }
-        let mut fired: Vec<Watchdog> = Vec::new();
-        self.watchdogs.retain(|w| {
-            if w.due <= cycle {
-                fired.push(*w);
-                false
-            } else {
-                true
-            }
-        });
-        self.watchdog_next_due = self
-            .watchdogs
-            .iter()
-            .map(|w| w.due)
-            .min()
-            .unwrap_or(u64::MAX);
-        fired.sort_by_key(|w| (w.due, w.link, w.heal));
-        for w in fired {
-            if w.heal {
-                if self.link_up[w.link.0] && self.detected_down[w.link.0] {
-                    self.detected_down[w.link.0] = false;
-                    self.notices.push(RecoveryNotice::LinkHealed {
-                        link: w.link,
-                        repaired_at: w.since,
-                        noticed_at: cycle,
-                    });
-                }
-            } else if !self.link_up[w.link.0] && !self.detected_down[w.link.0] {
-                self.detected_down[w.link.0] = true;
-                let latency = cycle.saturating_sub(w.since);
-                let r = &mut self.stats.recovery;
-                r.detections += 1;
-                r.detection_latency_total += latency;
-                r.detection_latency_max = r.detection_latency_max.max(latency);
-                if let Some(trace) = &mut self.trace {
-                    trace.record(TraceEvent {
-                        cycle,
-                        kind: TraceKind::Detect,
-                        packet: PacketId(0),
-                        flow: None,
-                        link: Some(w.link),
-                    });
-                }
-                self.notices.push(RecoveryNotice::LinkDown {
-                    link: w.link,
-                    failed_at: w.since,
-                    detected_at: cycle,
-                });
-            }
-        }
-    }
-
-    /// Commits every pending hot-swap whose flow has quiesced (no packet
-    /// of the flow mid-wormhole at its NI) and whose reroute delay has
-    /// elapsed. The epoch bumps once per cycle with at least one commit.
-    fn commit_ready_swaps(&mut self) {
-        let cycle = self.cycle;
-        let vcs = self.cfg.vcs;
-        let mut bumped = false;
-        let mut i = 0;
-        while i < self.pending_swaps.len() {
-            let p = &self.pending_swaps[i];
-            if cycle < p.not_before {
-                i += 1;
-                continue;
-            }
-            let busy = self.sources_by_ni[p.ni.0].iter().any(|&si| {
-                self.sources[si].source.flow == p.flow
-                    && (0..vcs).any(|vc| self.ni_wormhole[p.ni.0 * vcs + vc] == Some(si))
-            });
-            if busy {
-                i += 1;
-                continue;
-            }
-            let p = self.pending_swaps.remove(i);
-            if !bumped {
-                self.epoch += 1;
-                self.stats.recovery.epoch_swaps += 1;
-                bumped = true;
-            }
-            let new_epoch = self.epoch;
-            let slots: Vec<usize> = self.sources_by_ni[p.ni.0]
-                .iter()
-                .copied()
-                .filter(|&si| self.sources[si].source.flow == p.flow)
-                .collect();
-            for si in slots {
-                self.sources[si].source.destination = p.destination.clone();
-                self.sources[si].rerouted = p.count_rerouted;
-                self.sources[si].swap_pending = false;
-                // Queued packets have not entered the fabric: re-route
-                // them through the new tables under the new epoch.
-                let mut queue = std::mem::take(&mut self.sources[si].queue);
-                for f in &mut queue {
-                    f.epoch = new_epoch;
-                    if f.is_head {
-                        // Re-pick draws from the owning source's stream:
-                        // swap-time re-routing consumes the same stream
-                        // a fresh generation at this slot would.
-                        f.route = Some(p.destination.pick(&mut self.sources[si].rng));
-                        f.hop = 1;
-                    }
-                }
-                self.sources[si].queue = queue;
-            }
-            let latency = cycle.saturating_sub(p.detected_at);
-            let r = &mut self.stats.recovery;
-            r.reroutes_installed += 1;
-            r.reroute_latency_total += latency;
-            r.reroute_latency_max = r.reroute_latency_max.max(latency);
-            if p.count_rerouted {
-                self.restore_pending
-                    .insert(p.flow, (p.failed_at, new_epoch));
-            } else {
-                self.restore_pending.remove(&p.flow);
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    cycle,
-                    kind: TraceKind::EpochSwap,
-                    packet: PacketId(new_epoch),
-                    flow: Some(p.flow),
-                    link: None,
-                });
-            }
-        }
-    }
-
-    /// The knobs of the NI retransmit layer: online recovery's when
-    /// enabled, otherwise — when an end-to-end error-control scheme
-    /// needs the retry/backoff machinery without the rest of the
-    /// recovery loop — the defaults. `None` keeps the layer inert.
-    fn retransmit_knobs(&self) -> Option<RecoveryConfig> {
-        if self.cfg.recovery.is_some() {
-            self.cfg.recovery
-        } else if self.cfg.error_control.protects() {
-            Some(RecoveryConfig::default())
-        } else {
-            None
-        }
-    }
-
-    /// Registers one destroyed flit with the NI end-to-end retransmit
-    /// layer. Only the first flit of a lost packet arms a retransmit;
-    /// the rest are recognized as duplicates. Retries are bounded per
-    /// packet and, for best-effort flows, by a per-flow budget —
-    /// exhausting either sheds the packet (a tombstone entry blocks
-    /// re-registration).
-    fn note_lost_flit(&mut self, flit: &Flit) {
-        let Some(r) = self.retransmit_knobs() else {
-            return;
-        };
-        let Some(flow) = flit.flow else {
-            return; // synthetic flush tails carry no payload
-        };
-        let Some(&si) = self.source_of_flow.get(&flow) else {
-            return;
-        };
-        use std::collections::btree_map::Entry;
-        match self.retransmit.entry(flit.packet) {
-            Entry::Occupied(mut e) => {
-                let ent = e.get_mut();
-                if ent.gave_up || ent.due.is_some() {
-                    return; // shed, or this loss already armed a retry
-                }
-                if ent.attempts >= r.max_retries {
-                    ent.gave_up = true;
-                    self.stats.recovery.retransmit_shed_packets += 1;
-                    return;
-                }
-                if !ent.priority {
-                    let spent = self.retransmit_spent.entry(flow).or_insert(0);
-                    if *spent >= r.retransmit_budget {
-                        ent.gave_up = true;
-                        self.stats.recovery.retransmit_shed_packets += 1;
-                        return;
-                    }
-                    *spent += 1;
-                }
-                ent.attempts += 1;
-                // Exponential backoff, shift-capped so it cannot wrap.
-                let backoff = r
-                    .retry_backoff
-                    .saturating_mul(1u64 << u64::from(ent.attempts - 1).min(16));
-                let due = self.cycle + backoff;
-                ent.due = Some(due);
-                self.retransmit_waiting += 1;
-                self.retransmit_next_due = self.retransmit_next_due.min(due);
-            }
-            Entry::Vacant(v) => {
-                let mut shed = r.max_retries == 0;
-                if !shed && !flit.priority {
-                    let spent = self.retransmit_spent.entry(flow).or_insert(0);
-                    if *spent >= r.retransmit_budget {
-                        shed = true;
-                    } else {
-                        *spent += 1;
-                    }
-                }
-                if shed {
-                    self.stats.recovery.retransmit_shed_packets += 1;
-                } else {
-                    self.retransmit_waiting += 1;
-                    self.retransmit_next_due =
-                        self.retransmit_next_due.min(self.cycle + r.retry_backoff);
-                }
-                v.insert(RetransmitEntry {
-                    si,
-                    flow,
-                    vc: flit.vc,
-                    priority: flit.priority,
-                    injected_at: flit.injected_at,
-                    attempts: u32::from(!shed),
-                    due: (!shed).then(|| self.cycle + r.retry_backoff),
-                    gave_up: shed,
-                });
-            }
-        }
-    }
-
-    /// Re-emits every retransmission that has come due: the packet is
-    /// re-packetized from its source's *current* destination (so a
-    /// committed hot-swap routes the retry around the fault), stamped
-    /// with the current epoch, and queued at the NI like a fresh packet
-    /// — it re-enters the flit accounting through the normal inject
-    /// path. The original injection cycle is preserved so delivery
-    /// latency measures true end-to-end time including recovery.
-    fn emit_due_retransmits(&mut self) {
-        let cycle = self.cycle;
-        let due: Vec<PacketId> = self
-            .retransmit
-            .iter()
-            .filter(|(_, e)| matches!(e.due, Some(d) if d <= cycle))
-            .map(|(&p, _)| p)
-            .collect();
-        for packet in due {
-            let ent = self.retransmit.get_mut(&packet).expect("collected above");
-            ent.due = None;
-            self.retransmit_waiting -= 1;
-            let (si, flow, vc, priority, injected_at) =
-                (ent.si, ent.flow, ent.vc, ent.priority, ent.injected_at);
-            let slot = &mut self.sources[si];
-            let route = slot.source.destination.pick(&mut slot.rng);
-            self.stats.recovery.retransmitted_packets += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    cycle,
-                    kind: TraceKind::Retransmit,
-                    packet,
-                    flow: Some(flow),
-                    link: None,
-                });
-            }
-            self.queue_packet(si, packet, route, vc, priority, injected_at);
-        }
-        // Cheap step-phase guard: the earliest re-emission still pending.
-        self.retransmit_next_due = self
-            .retransmit
-            .values()
-            .filter_map(|e| e.due)
-            .min()
-            .unwrap_or(u64::MAX);
     }
 
     /// Debug snapshot of a link: (credits per VC, buffered flits per VC,
@@ -1749,7 +1301,7 @@ impl Simulator {
             for _ in 0..max_cycles {
                 if self.in_network_count <= 0
                     && self.queued_count == 0
-                    && self.retransmit_waiting == 0
+                    && self.ctl.retransmit_waiting == 0
                 {
                     break;
                 }
@@ -1833,20 +1385,8 @@ impl Simulator {
         if !self.credit_returns.is_empty() {
             self.apply_credit_returns();
         }
-        if self.fault_cursor < self.fault_schedule.len() {
-            self.apply_fault_events();
-        }
-        if self.cycle >= self.watchdog_next_due {
-            self.poll_watchdogs();
-        }
-        if self.reroute_cursor < self.reroutes.len() {
-            self.apply_reroutes();
-        }
-        if !self.pending_swaps.is_empty() {
-            self.commit_ready_swaps();
-        }
-        if self.retransmit_waiting > 0 && self.cycle >= self.retransmit_next_due {
-            self.emit_due_retransmits();
+        if self.ctl.due(self.cycle) {
+            self.control(None);
         }
         if self.event_mode {
             self.deliver_due();
@@ -1874,132 +1414,36 @@ impl Simulator {
         self.cycle += 1;
     }
 
-    /// Applies every fault transition scheduled at or before the current
-    /// cycle (down transitions destroy the link's contents; up
-    /// transitions simply restore it).
-    fn apply_fault_events(&mut self) {
-        while self.fault_cursor < self.fault_schedule.len()
-            && self.fault_schedule[self.fault_cursor].cycle <= self.cycle
-        {
-            let t = self.fault_schedule[self.fault_cursor];
-            self.fault_cursor += 1;
-            if t.up {
-                // Only the most recent fault on a link repairs it: an
-                // older overlapping fault's repair is a no-op.
-                if !self.link_up[t.link.0] && self.link_down_event[t.link.0] == Some(t.event) {
-                    self.link_up[t.link.0] = true;
-                    self.link_down_event[t.link.0] = None;
-                    self.links_down -= 1;
-                    if self.detected_down[t.link.0] {
-                        self.schedule_heal_watchdog(t.link, t.cycle);
-                    }
-                }
-            } else if self.link_up[t.link.0] {
-                self.link_up[t.link.0] = false;
-                self.link_down_event[t.link.0] = Some(t.event);
-                self.links_down += 1;
-                if !self.detected_down[t.link.0] {
-                    self.schedule_down_watchdog(t.link, t.cycle);
-                }
-                self.fail_link(t.link, t.event);
-            } else {
-                // Already down: the newer fault takes over attribution
-                // (and, for transients, the repair time).
-                self.link_down_event[t.link.0] = Some(t.event);
+    /// Runs the control phases of the cycle about to execute over the
+    /// simulators owning node state: `split`'s shards (with their node
+    /// map) once sharded, else this simulator itself, its own only
+    /// shard — its control state, recovery counters and trace are moved
+    /// out for the call so it can be lent as that shard.
+    pub(crate) fn control(&mut self, split: Option<(&mut [Simulator], &[u32])>) {
+        match split {
+            Some((sims, shard_of_node)) => {
+                let (stats, trace) = (&mut self.stats.recovery, &mut self.trace);
+                self.ctl.step(sims, shard_of_node, stats, trace);
+            }
+            None => {
+                let mut ctl = std::mem::take(&mut self.ctl);
+                let (mut stats, mut trace) = (self.stats.recovery, self.trace.take());
+                ctl.step(std::slice::from_mut(self), &[], &mut stats, &mut trace);
+                (self.ctl, self.stats.recovery, self.trace) = (ctl, stats, trace);
             }
         }
     }
 
-    /// Takes `link` down for fault `event`: destroys the wire's
-    /// in-flight flits and receive buffer (returning their credits),
-    /// purges any half-injected packet from the upstream NI's queue, and
-    /// flushes wormhole fragments that already passed downstream with a
-    /// synthetic tail so their locks unwind cleanly.
-    fn fail_link(&mut self, link: LinkId, event: usize) {
-        let vcs = self.cfg.vcs;
-        let li = link.0;
-        let dst = self.link_dst[li];
-        // Receive buffer first, wire second: the last doomed flit per VC
-        // is then the newest, whose packet id labels the flush tail.
-        let mut doomed: Vec<Flit> = Vec::new();
-        for vc in 0..vcs {
-            while let Some(f) = self.buf_pop(li * vcs + vc) {
-                self.buf_count[li] -= 1;
-                self.node_buffered[dst.0] -= 1;
-                doomed.push(f);
-            }
-        }
-        let pool = &mut self.pool;
-        doomed.extend(
-            self.links[li]
-                .in_flight
-                .drain(..)
-                .map(|(_, h)| pool.take(h)),
-        );
-        let mut last_packet: Vec<Option<PacketId>> = vec![None; vcs];
-        for f in doomed {
-            last_packet[f.vc] = Some(f.packet);
-            self.credits[li * vcs + f.vc] += 1;
-            self.account_drop(link, &f, Some(event));
-        }
-        // A packet caught half-injected at the upstream NI: the rest of
-        // it sits in a source queue and must never trickle in later (the
-        // flush tail below releases the downstream locks it would need).
-        // These flits never entered the fabric, so they leave the flit
-        // accounting entirely.
-        let src = self.topo.link(link).src;
-        let (os, oe) = self.adj.outgoing(src);
-        if oe > os && self.adj.out_flat[os] == link {
-            let recovery_on = self.cfg.recovery.is_some();
-            for vc in 0..vcs {
-                if let Some(si) = self.ni_wormhole[src.0 * vcs + vc] {
-                    while let Some(f) = self.sources[si].queue.pop_front() {
-                        self.queued_count -= 1;
-                        self.queued_at[src.0] -= 1;
-                        // Purged queue flits never entered the fabric,
-                        // but the packet is still lost end to end: the
-                        // retransmit layer must hear about it.
-                        if recovery_on {
-                            self.note_lost_flit(&f);
-                        }
-                        if f.is_tail {
-                            break;
-                        }
-                    }
-                    self.ni_wormhole[src.0 * vcs + vc] = None;
-                }
-            }
-        }
-        // Fragments beyond the link (a head traversed onward, its tail
-        // now destroyed): a synthetic tail chases each one through its
-        // wormhole locks, releasing them and draining at the NI like a
-        // real tail. It occupies a buffer slot (the credit algebra stays
-        // exact) and counts as one injected flit, matched by its
-        // eventual ejection or drop.
-        for (vc, last) in last_packet.iter().enumerate() {
-            if self.route_lock[li * vcs + vc] != NO_OUTPUT {
-                let tail = Flit {
-                    packet: last.unwrap_or(PacketId(u64::MAX)),
-                    flow: None,
-                    route: None,
-                    hop: 0,
-                    is_head: false,
-                    is_tail: true,
-                    vc,
-                    priority: false,
-                    injected_at: self.cycle,
-                    epoch: 0,
-                    corrupt: 0,
-                    hop_retries: 0,
-                };
-                debug_assert!(self.credits[li * vcs + vc] > 0, "drained buffer has space");
-                self.credits[li * vcs + vc] -= 1;
-                self.buf_push(li * vcs + vc, tail);
-                self.note_buffered(li);
-                self.injected_flits_total += 1;
-                self.in_network_count += 1;
-            }
-        }
+    /// Hands a lost flit to the retransmit layer.
+    fn note_lost_flit(&mut self, flit: &Flit) {
+        self.ctl
+            .note_lost(self.cycle, &self.cfg, &mut self.stats.recovery, flit);
+    }
+
+    /// Hands a tail delivery (the end-to-end ack) to the control plane.
+    fn note_delivered(&mut self, packet: PacketId, flow: Option<FlowId>, epoch: u64) {
+        self.ctl
+            .note_delivered(self.cycle, &mut self.stats.recovery, packet, flow, epoch);
     }
 
     /// Appends `flit` to input port `p`'s receive buffer.
@@ -2032,9 +1476,9 @@ impl Simulator {
     /// lets the partitioned engine step shards independently between
     /// barriers. No wake-ups are needed: a credit-starved entity still
     /// holds buffered/queued work, so the activity lists retain it.
-    /// Control-phase credit motion (fault drains and flush tails in
-    /// `fail_link`) stays immediate; it runs before any data phase and
-    /// keeps the drain/flush algebra exact within its own cycle.
+    /// Control-phase credit motion (link-failure drains and flush
+    /// tails) stays immediate; it runs before any data phase and keeps
+    /// the drain/flush algebra exact within its own cycle.
     fn return_credit(&mut self, li: usize, vc: usize) {
         // Boundary credit: the sender (credit owner) lives in another
         // shard; route the return through the boundary channel. It is
@@ -2148,23 +1592,6 @@ impl Simulator {
         }
     }
 
-    /// Applies every destination swap scheduled at or before the current
-    /// cycle.
-    fn apply_reroutes(&mut self) {
-        while self.reroute_cursor < self.reroutes.len()
-            && self.reroutes[self.reroute_cursor].cycle <= self.cycle
-        {
-            let r = self.reroutes[self.reroute_cursor].clone();
-            self.reroute_cursor += 1;
-            for slot in &mut self.sources {
-                if slot.source.ni == r.ni && slot.source.flow == r.flow {
-                    slot.source.destination = r.destination.clone();
-                    slot.rerouted = true;
-                }
-            }
-        }
-    }
-
     /// Accounts one flit destroyed by a fault at `link`, attributed to
     /// fault plan event `event`. Drop counters cover the whole run
     /// (warmup included): conservation must hold unconditionally.
@@ -2175,15 +1602,7 @@ impl Simulator {
         if let Some(e) = event {
             *self.stats.fault_events.entry(e).or_default() += 1;
         }
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
-                cycle: self.cycle,
-                kind: TraceKind::Drop,
-                packet: flit.packet,
-                flow: flit.flow,
-                link: Some(link),
-            });
-        }
+        trace::record_flit(&mut self.trace, self.cycle, TraceKind::Drop, flit, link);
         if self.cfg.recovery.is_some() {
             // The retransmit layer lives in the parent of a partitioned
             // run: ship the loss through the boundary channel, keyed by
@@ -2209,7 +1628,7 @@ impl Simulator {
     /// Phase 1 (event): only links with a delivery scheduled for this
     /// cycle are touched — their indices sit in the wheel bucket the
     /// cycle hashes to. A bucket entry whose flit was meanwhile
-    /// destroyed by a fault (`fail_link` drains the wire) finds nothing
+    /// destroyed by a fault (a link failure drains the wire) finds nothing
     /// due and is dropped; the bucket cannot alias a future arrival
     /// because the wheel is strictly larger than any link latency.
     fn deliver_due(&mut self) {
@@ -2266,15 +1685,13 @@ impl Simulator {
                             // re-send rolls fresh corruption on the wire.
                             flit.corrupt = 0;
                             self.stats.error_control.hop_retries += 1;
-                            if let Some(trace) = &mut self.trace {
-                                trace.record(TraceEvent {
-                                    cycle,
-                                    kind: TraceKind::HopRetry,
-                                    packet: flit.packet,
-                                    flow: flit.flow,
-                                    link: Some(LinkId(li)),
-                                });
-                            }
+                            trace::record_flit(
+                                &mut self.trace,
+                                cycle,
+                                TraceKind::HopRetry,
+                                &flit,
+                                LinkId(li),
+                            );
                             self.corrupt_roll(
                                 LinkId(li),
                                 cycle,
@@ -2390,15 +1807,7 @@ impl Simulator {
                 }
             }
             if flit.is_tail {
-                if let Some(trace) = &mut self.trace {
-                    trace.record(TraceEvent {
-                        cycle,
-                        kind: TraceKind::Eject,
-                        packet: flit.packet,
-                        flow: flit.flow,
-                        link: Some(l),
-                    });
-                }
+                trace::record_flit(&mut self.trace, cycle, TraceKind::Eject, &flit, l);
                 // Tail ejection is the end-to-end ack: the
                 // packet arrived whole, stop tracking it. In a
                 // partitioned shard the retransmit/restore maps
@@ -2422,16 +1831,7 @@ impl Simulator {
                             .push((port, flit.packet, flit.flow, flit.epoch));
                     }
                 } else {
-                    if !self.retransmit.is_empty() {
-                        if let Some(e) = self.retransmit.remove(&flit.packet) {
-                            if e.due.is_some() {
-                                self.retransmit_waiting -= 1;
-                            }
-                        }
-                    }
-                    // First post-swap-epoch delivery of a flow
-                    // proves its delivery path is restored.
-                    self.note_restored(flit.flow, flit.epoch);
+                    self.note_delivered(flit.packet, flit.flow, flit.epoch);
                 }
             }
             if measuring && flit.injected_at >= self.cfg.warmup {
@@ -2453,29 +1853,6 @@ impl Simulator {
                     }
                     self.stats.total_delivered_flits += 1;
                 }
-            }
-        }
-    }
-
-    /// Records a tail delivery against the restore-pending map: the
-    /// first post-swap-epoch delivery of a flow proves its delivery
-    /// path is restored. Shared by the serial eject path and the
-    /// parent's barrier-time ack replay in a partitioned run.
-    fn note_restored(&mut self, flow: Option<FlowId>, epoch: u64) {
-        if self.restore_pending.is_empty() {
-            return;
-        }
-        let Some(flow) = flow else {
-            return;
-        };
-        if let Some(&(failed_at, swap_epoch)) = self.restore_pending.get(&flow) {
-            if epoch >= swap_epoch {
-                self.restore_pending.remove(&flow);
-                let latency = self.cycle.saturating_sub(failed_at);
-                let r = &mut self.stats.recovery;
-                r.restores += 1;
-                r.restore_latency_total += latency;
-                r.restore_latency_max = r.restore_latency_max.max(latency);
             }
         }
     }
@@ -2809,15 +2186,14 @@ impl Simulator {
         }
         if rerouted {
             self.stats.rerouted_packets += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    cycle,
-                    kind: TraceKind::Reroute,
-                    packet,
-                    flow: Some(flow),
-                    link: None,
-                });
-            }
+            trace::record(
+                &mut self.trace,
+                cycle,
+                TraceKind::Reroute,
+                packet,
+                Some(flow),
+                None,
+            );
         }
         self.queue_packet(si, packet, route, vc, priority, cycle);
     }
@@ -3001,15 +2377,7 @@ impl Simulator {
             self.ni_wormhole[ni.0 * self.cfg.vcs + flit.vc] = None;
         }
         if flit.is_head {
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    cycle,
-                    kind: TraceKind::Inject,
-                    packet: flit.packet,
-                    flow: flit.flow,
-                    link: Some(out_l),
-                });
-            }
+            trace::record_flit(&mut self.trace, cycle, TraceKind::Inject, &flit, out_l);
         }
         self.launch(out_l, flit);
         self.injected_flits_total += 1;
@@ -3037,15 +2405,7 @@ impl Simulator {
         if self.corrupt_enabled {
             self.corrupt_roll(link, cycle, 0, &mut flit);
         }
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
-                cycle,
-                kind: TraceKind::Launch,
-                packet: flit.packet,
-                flow: flit.flow,
-                link: Some(link),
-            });
-        }
+        trace::record_flit(&mut self.trace, cycle, TraceKind::Launch, &flit, link);
         // Boundary launch: the receiver lives in another shard. The
         // sender-side effects above (credit, launch stamp, carried) are
         // real; the flit itself travels through the boundary channel
@@ -3102,32 +2462,25 @@ impl Simulator {
         }
         flit.corrupt = flit.corrupt.saturating_add(flips);
         self.stats.error_control.corrupted_flits += 1;
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
-                cycle,
-                kind: TraceKind::Corrupt,
-                packet: flit.packet,
-                flow: flit.flow,
-                link: Some(link),
-            });
-        }
+        trace::record_flit(&mut self.trace, cycle, TraceKind::Corrupt, flit, link);
     }
 }
 
 // ---------------------------------------------------------------------
-// Sharded-run plumbing (crate-internal; see `crate::partition`).
+// Shard plumbing (crate-internal; see `crate::partition` and
+// `crate::control`).
 //
 // A sharded run consists of one *parent* — the fully configured
-// simulator itself, which never steps data phases and keeps every
-// control-plane structure (fault schedule, watchdogs, pending swaps,
-// retransmit map, restore map, notices) — and N *shards*: clones of the
-// parent localized with `part_install`, which step only the data
-// phases. Each cycle the parent runs the control phases (calling into
-// the owning shards in exactly the serial engine's order), the shards
-// step their data phases independently, and the parent merges boundary
-// traffic at the barrier in link-id-sorted order. Every sequence below
-// mirrors a serial `step` phase line by line; divergence is a parity
-// bug, and `tests/engine_parity.rs` holds the proof obligation.
+// simulator itself, which never steps data phases and owns the control
+// plane — and N *shards*: clones of the parent localized with
+// `part_install`, which step only the data phases. Each cycle the
+// parent runs the control phases over its shards, the shards step
+// their data phases independently, and the parent merges boundary
+// traffic at the barrier in link-id-sorted order. The control phases
+// are the same code a serial simulator runs over itself as its only
+// shard; the node-state helpers below are all they touch.
+// `tests/control_plane_golden.rs` pins the control plane's behaviour
+// and `tests/engine_parity.rs` proves sharding changes no outcome.
 impl Simulator {
     /// Clones this fully-configured simulator into `shards` localized
     /// shard simulators. `self` becomes the parent and must not step
@@ -3143,8 +2496,8 @@ impl Simulator {
     }
 
     /// Turns this clone of the master into shard `me`: restricts
-    /// generation to local sources, strips the control-plane state (the
-    /// parent keeps it), and installs the boundary context.
+    /// generation to local sources, drops the control plane (the parent
+    /// keeps it), and installs the boundary context.
     fn part_install(&mut self, shard_of_node: &[u32], me: u32) {
         debug_assert_eq!(self.cycle, 0, "partition before the first step");
         let local_node: Vec<bool> = shard_of_node.iter().map(|&s| s == me).collect();
@@ -3177,20 +2530,8 @@ impl Simulator {
         // two serial engines are bit-identical by the parity suite).
         self.event_mode = true;
         self.trace = None;
-        // Control-plane state lives in the parent only.
-        self.fault_schedule.clear();
-        self.fault_cursor = 0;
-        self.reroutes.clear();
-        self.reroute_cursor = 0;
-        self.watchdogs.clear();
-        self.watchdog_next_due = u64::MAX;
-        self.pending_swaps.clear();
-        self.notices.clear();
-        self.retransmit.clear();
-        self.retransmit_waiting = 0;
-        self.retransmit_next_due = u64::MAX;
-        self.retransmit_spent.clear();
-        self.restore_pending.clear();
+        // The control plane lives in the parent only.
+        self.ctl = Control::default();
         self.part = Some(Box::new(PartCtx {
             src_local,
             dst_local,
@@ -3247,7 +2588,23 @@ impl Simulator {
         self.wheel[bucket].push(li as u32);
     }
 
-    /// Mirrors a physical link-state transition into a shard (every
+    /// The simulated topology.
+    pub(crate) fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// The plan event that most recently downed link `li` (`None` while
+    /// up).
+    pub(crate) fn part_link_down_event(&self, li: usize) -> Option<usize> {
+        self.link_down_event[li]
+    }
+
+    /// The NI of source slot `si`.
+    pub(crate) fn part_source_ni(&self, si: usize) -> NodeId {
+        self.sources[si].source.ni
+    }
+
+    /// Applies a physical link-state transition to a shard (every
     /// shard tracks `link_up` for its drop phase and injection gates).
     pub(crate) fn part_set_link_state(&mut self, li: usize, up: bool, event: Option<usize>) {
         if self.link_up[li] != up {
@@ -3261,11 +2618,11 @@ impl Simulator {
         self.link_down_event[li] = event;
     }
 
-    /// Shard side of `fail_link`'s drain: destroys the link's receive
+    /// Receiver side of a link failure: destroys the link's receive
     /// buffer and wire contents (receiver-owned state), accounting the
-    /// drops locally, and returns the doomed flits in the serial drain
-    /// order. The parent returns their credits to the sender shard and
-    /// feeds the retransmit layer.
+    /// drops locally, and returns the doomed flits in drain order. The
+    /// control plane returns their credits to the sender shard, traces
+    /// them and feeds the retransmit layer.
     pub(crate) fn part_fail_drain(&mut self, link: LinkId, event: usize) -> Vec<Flit> {
         let vcs = self.cfg.vcs;
         let li = link.0;
@@ -3295,12 +2652,12 @@ impl Simulator {
     }
 
     /// Restores `n` credits on `(link, vc)` immediately (control-phase
-    /// credit motion, like the serial `fail_link` drain).
+    /// credit motion of a link failure's drain).
     pub(crate) fn part_add_credits(&mut self, li: usize, vc: usize, n: u32) {
         self.credits[li * self.cfg.vcs + vc] += n;
     }
 
-    /// Shard side of `fail_link`'s upstream purge: removes the rest of
+    /// Sender side of a link failure: removes the rest of
     /// any packet caught half-injected at the failed link's source NI.
     /// Returns the purged flits (they never entered the fabric) so the
     /// parent can feed the retransmit layer in serial order.
@@ -3329,7 +2686,7 @@ impl Simulator {
     }
 
     /// Whether `(link, vc)` holds a wormhole route lock (receiver-shard
-    /// state; `fail_link` flushes such streams with a synthetic tail).
+    /// state; a link failure flushes such streams with a synthetic tail).
     pub(crate) fn part_route_locked(&self, li: usize, vc: usize) -> bool {
         self.route_lock[li * self.cfg.vcs + vc] != NO_OUTPUT
     }
@@ -3342,7 +2699,7 @@ impl Simulator {
         self.credits[port] -= 1;
     }
 
-    /// Inserts `fail_link`'s synthetic flush tail into the receiver
+    /// Inserts a link failure's synthetic flush tail into the receiver
     /// shard's input buffer (the matching credit was taken on the
     /// sender shard by [`part_take_credit`](Simulator::part_take_credit)).
     pub(crate) fn part_insert_flush_tail(&mut self, link: LinkId, vc: usize, packet: PacketId) {
@@ -3367,7 +2724,7 @@ impl Simulator {
         self.in_network_count += 1;
     }
 
-    /// The quiesce check of `commit_ready_swaps`, on the shard owning
+    /// The quiesce check of a hot-swap commit, on the shard owning
     /// the NI: is a packet of `flow` still mid-wormhole there?
     pub(crate) fn part_flow_busy(&self, ni: NodeId, flow: FlowId) -> bool {
         let vcs = self.cfg.vcs;
@@ -3377,7 +2734,7 @@ impl Simulator {
         })
     }
 
-    /// Mirrors the parent's routing-epoch bump into a shard (generated
+    /// Applies the control plane's routing-epoch bump to a shard (generated
     /// flits are stamped with the current epoch).
     pub(crate) fn part_set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
@@ -3394,38 +2751,36 @@ impl Simulator {
         new_epoch: u64,
         count_rerouted: bool,
     ) {
-        let slots: Vec<usize> = self.sources_by_ni[ni.0]
-            .iter()
-            .copied()
-            .filter(|&si| self.sources[si].source.flow == flow)
-            .collect();
-        for si in slots {
-            self.sources[si].source.destination = destination.clone();
-            self.sources[si].rerouted = count_rerouted;
-            self.sources[si].swap_pending = false;
-            let mut queue = std::mem::take(&mut self.sources[si].queue);
-            for f in &mut queue {
+        for &si in &self.sources_by_ni[ni.0] {
+            let slot = &mut self.sources[si];
+            if slot.source.flow != flow {
+                continue;
+            }
+            slot.source.destination = destination.clone();
+            slot.rerouted = count_rerouted;
+            slot.swap_pending = false;
+            // Queued packets have not entered the fabric: re-route them
+            // through the new tables under the new epoch.
+            for f in &mut slot.queue {
                 f.epoch = new_epoch;
                 if f.is_head {
-                    f.route = Some(destination.pick(&mut self.sources[si].rng));
+                    f.route = Some(destination.pick(&mut slot.rng));
                     f.hop = 1;
                 }
             }
-            self.sources[si].queue = queue;
         }
     }
 
-    /// Quiesces `(ni, flow)` for a requested swap (on a shard: the one
-    /// owning the NI).
-    fn set_swap_pending(&mut self, ni: NodeId, flow: FlowId) {
-        for slot in &mut self.sources {
-            if slot.source.ni == ni && slot.source.flow == flow {
-                slot.swap_pending = true;
-            }
+    /// Quiesces `(ni, flow)` while a hot-swap of it is pending: no new
+    /// packet of the flow may start injecting.
+    pub(crate) fn part_quiesce(&mut self, ni: NodeId, flow: FlowId) {
+        for &si in &self.sources_by_ni[ni.0] {
+            let slot = &mut self.sources[si];
+            slot.swap_pending |= slot.source.flow == flow;
         }
     }
 
-    /// Shard side of a scheduled destination swap (`apply_reroutes`).
+    /// Shard side of a scheduled destination swap.
     pub(crate) fn part_apply_reroute(&mut self, ni: NodeId, flow: FlowId, dest: &Destination) {
         for slot in &mut self.sources {
             if slot.source.ni == ni && slot.source.flow == flow {
@@ -3449,201 +2804,6 @@ impl Simulator {
         let slot = &mut self.sources[si];
         let route = slot.source.destination.pick(&mut slot.rng);
         self.queue_packet(si, packet, route, vc, priority, injected_at);
-    }
-
-    /// The parent's control step for the cycle the shards are about to
-    /// execute: every control phase of the serial `step`, in order,
-    /// with node-owned effects delegated to the owning shard.
-    pub(crate) fn part_parent_control(&mut self, shards: &mut [Simulator], shard_of_node: &[u32]) {
-        debug_assert!(self.part.is_none(), "the parent is not a shard");
-        // Phase: fault transitions (serial `apply_fault_events`).
-        while self.fault_cursor < self.fault_schedule.len()
-            && self.fault_schedule[self.fault_cursor].cycle <= self.cycle
-        {
-            let t = self.fault_schedule[self.fault_cursor];
-            self.fault_cursor += 1;
-            if t.up {
-                if !self.link_up[t.link.0] && self.link_down_event[t.link.0] == Some(t.event) {
-                    self.link_up[t.link.0] = true;
-                    self.link_down_event[t.link.0] = None;
-                    self.links_down -= 1;
-                    for sh in shards.iter_mut() {
-                        sh.part_set_link_state(t.link.0, true, None);
-                    }
-                    if self.detected_down[t.link.0] {
-                        self.schedule_heal_watchdog(t.link, t.cycle);
-                    }
-                }
-            } else if self.link_up[t.link.0] {
-                self.link_up[t.link.0] = false;
-                self.link_down_event[t.link.0] = Some(t.event);
-                self.links_down += 1;
-                for sh in shards.iter_mut() {
-                    sh.part_set_link_state(t.link.0, false, Some(t.event));
-                }
-                if !self.detected_down[t.link.0] {
-                    self.schedule_down_watchdog(t.link, t.cycle);
-                }
-                self.part_fail_link(t.link, t.event, shards, shard_of_node);
-            } else {
-                self.link_down_event[t.link.0] = Some(t.event);
-                for sh in shards.iter_mut() {
-                    sh.part_set_link_state(t.link.0, false, Some(t.event));
-                }
-            }
-        }
-        // Phase: watchdogs (parent-only state).
-        if self.cycle >= self.watchdog_next_due {
-            self.poll_watchdogs();
-        }
-        // Phase: scheduled destination swaps (serial `apply_reroutes`),
-        // applied on the owning shard and mirrored into the parent's
-        // replica slots (the recovery controller reads `sources()` on
-        // the parent).
-        while self.reroute_cursor < self.reroutes.len()
-            && self.reroutes[self.reroute_cursor].cycle <= self.cycle
-        {
-            let r = self.reroutes[self.reroute_cursor].clone();
-            self.reroute_cursor += 1;
-            shards[shard_of_node[r.ni.0] as usize].part_apply_reroute(r.ni, r.flow, &r.destination);
-            for slot in &mut self.sources {
-                if slot.source.ni == r.ni && slot.source.flow == r.flow {
-                    slot.source.destination = r.destination.clone();
-                    slot.rerouted = true;
-                }
-            }
-        }
-        // Phase: hot-swap commits (serial `commit_ready_swaps`).
-        if !self.pending_swaps.is_empty() {
-            let cycle = self.cycle;
-            let mut bumped = false;
-            let mut i = 0;
-            while i < self.pending_swaps.len() {
-                let p = &self.pending_swaps[i];
-                if cycle < p.not_before {
-                    i += 1;
-                    continue;
-                }
-                let sh = shard_of_node[p.ni.0] as usize;
-                if shards[sh].part_flow_busy(p.ni, p.flow) {
-                    i += 1;
-                    continue;
-                }
-                let p = self.pending_swaps.remove(i);
-                if !bumped {
-                    self.epoch += 1;
-                    self.stats.recovery.epoch_swaps += 1;
-                    bumped = true;
-                    for s in shards.iter_mut() {
-                        s.part_set_epoch(self.epoch);
-                    }
-                }
-                let new_epoch = self.epoch;
-                shards[sh].part_commit_swap(
-                    p.ni,
-                    p.flow,
-                    &p.destination,
-                    new_epoch,
-                    p.count_rerouted,
-                );
-                for slot in &mut self.sources {
-                    if slot.source.ni == p.ni && slot.source.flow == p.flow {
-                        slot.source.destination = p.destination.clone();
-                        slot.rerouted = p.count_rerouted;
-                        slot.swap_pending = false;
-                    }
-                }
-                let latency = cycle.saturating_sub(p.detected_at);
-                let r = &mut self.stats.recovery;
-                r.reroutes_installed += 1;
-                r.reroute_latency_total += latency;
-                r.reroute_latency_max = r.reroute_latency_max.max(latency);
-                if p.count_rerouted {
-                    self.restore_pending
-                        .insert(p.flow, (p.failed_at, new_epoch));
-                } else {
-                    self.restore_pending.remove(&p.flow);
-                }
-            }
-        }
-        // Phase: due retransmissions (serial `emit_due_retransmits`):
-        // the parent keeps the map and due bookkeeping, the owning
-        // shard re-packetizes (consuming the slot's stream) and queues.
-        if self.retransmit_waiting > 0 && self.cycle >= self.retransmit_next_due {
-            let cycle = self.cycle;
-            let due: Vec<PacketId> = self
-                .retransmit
-                .iter()
-                .filter(|(_, e)| matches!(e.due, Some(d) if d <= cycle))
-                .map(|(&p, _)| p)
-                .collect();
-            for packet in due {
-                let ent = self.retransmit.get_mut(&packet).expect("collected above");
-                ent.due = None;
-                self.retransmit_waiting -= 1;
-                let (si, vc, priority, injected_at) =
-                    (ent.si, ent.vc, ent.priority, ent.injected_at);
-                let ni = self.sources[si].source.ni;
-                shards[shard_of_node[ni.0] as usize].part_emit_retransmit(
-                    si,
-                    packet,
-                    vc,
-                    priority,
-                    injected_at,
-                );
-                self.stats.recovery.retransmitted_packets += 1;
-            }
-            self.retransmit_next_due = self
-                .retransmit
-                .values()
-                .filter_map(|e| e.due)
-                .min()
-                .unwrap_or(u64::MAX);
-        }
-    }
-
-    /// The parent's orchestration of `fail_link` across shards: the
-    /// receiver shard drains (returning doomed flits in serial order),
-    /// the sender shard gets the credits back and purges half-injected
-    /// packets, and locked wormhole streams are flushed with synthetic
-    /// tails — each effect on the shard that owns the state, in the
-    /// serial function's exact order.
-    fn part_fail_link(
-        &mut self,
-        link: LinkId,
-        event: usize,
-        shards: &mut [Simulator],
-        shard_of_node: &[u32],
-    ) {
-        let vcs = self.cfg.vcs;
-        let li = link.0;
-        let (src_node, dst_node) = {
-            let l = self.topo.link(link);
-            (l.src, l.dst)
-        };
-        let ds = shard_of_node[dst_node.0] as usize;
-        let ss = shard_of_node[src_node.0] as usize;
-        let doomed = shards[ds].part_fail_drain(link, event);
-        let mut last_packet: Vec<Option<PacketId>> = vec![None; vcs];
-        for f in &doomed {
-            last_packet[f.vc] = Some(f.packet);
-            shards[ss].part_add_credits(li, f.vc, 1);
-            if self.cfg.recovery.is_some() {
-                self.note_lost_flit(f);
-            }
-        }
-        let purged = shards[ss].part_fail_purge(link);
-        if self.cfg.recovery.is_some() {
-            for f in &purged {
-                self.note_lost_flit(f);
-            }
-        }
-        for (vc, last) in last_packet.iter().enumerate() {
-            if shards[ds].part_route_locked(li, vc) {
-                shards[ss].part_take_credit(li, vc);
-                shards[ds].part_insert_flush_tail(link, vc, last.unwrap_or(PacketId(u64::MAX)));
-            }
-        }
     }
 
     /// The per-cycle barrier: drains every shard's boundary outbox and
@@ -3681,14 +2841,7 @@ impl Simulator {
                 let (_, f) = na.next().expect("peeked");
                 self.note_lost_flit(&f);
             }
-            if !self.retransmit.is_empty() {
-                if let Some(e) = self.retransmit.remove(&packet) {
-                    if e.due.is_some() {
-                        self.retransmit_waiting -= 1;
-                    }
-                }
-            }
-            self.note_restored(flow, epoch);
+            self.note_delivered(packet, flow, epoch);
         }
         for (_, f) in na {
             self.note_lost_flit(&f);
@@ -4382,12 +3535,9 @@ mod tests {
         );
     }
 
-    /// Watchdog timing is heartbeat-quantized: a link failing at cycle
-    /// 500 under heartbeat 8 / timeout 24 is declared dead exactly at
-    /// cycle 520 (the first heartbeat tick past last-heartbeat 496 +
-    /// timeout 24), never at the failure instant.
-    #[test]
-    fn watchdog_detection_is_heartbeat_quantized() {
+    /// A line under recovery (heartbeat 8, timeout 24) whose middle
+    /// link fails permanently at cycle 500; returns it with that link.
+    fn watchdog_line() -> (Simulator, LinkId) {
         let (t, _, _, route) = line();
         let mut sim = Simulator::new(t, SimConfig::default().with_warmup(0));
         sim.enable_recovery(RecoveryConfig {
@@ -4402,6 +3552,16 @@ mod tests {
             kind: FaultKind::Permanent,
         }]);
         sim.set_fault_plan(&plan).expect("valid link");
+        (sim, victim)
+    }
+
+    /// Watchdog timing is heartbeat-quantized: a link failing at cycle
+    /// 500 under heartbeat 8 / timeout 24 is declared dead exactly at
+    /// cycle 520 (the first heartbeat tick past last-heartbeat 496 +
+    /// timeout 24), never at the failure instant.
+    #[test]
+    fn watchdog_detection_is_heartbeat_quantized() {
+        let (mut sim, victim) = watchdog_line();
         sim.run(520); // cycles 0..=519
         assert!(!sim.link_is_up(victim));
         assert!(!sim.link_detected_down(victim), "before the deadline");
@@ -4421,6 +3581,22 @@ mod tests {
         assert_eq!(r.detections, 1);
         assert_eq!(r.detection_latency_max, 20);
         assert_eq!(r.mean_detection_latency(), Some(20.0));
+    }
+
+    /// The serial `stats()` contract: the control plane's counters are
+    /// current after every bare `step`, with no `finish` in between.
+    #[test]
+    fn serial_recovery_counters_are_current_after_each_step() {
+        let (mut sim, victim) = watchdog_line();
+        while sim.cycle() < 520 {
+            sim.step();
+            assert_eq!(sim.stats().recovery.detections, 0, "before the deadline");
+        }
+        sim.step(); // cycle 520: the watchdog fires
+        assert!(sim.link_detected_down(victim));
+        let r = sim.stats().recovery;
+        assert_eq!(r.detections, 1, "counted by the step that detected");
+        assert_eq!(r.detection_latency_max, 20);
     }
 
     // --- soft-error control ---

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod control;
 pub mod engine;
 pub mod error;
 pub mod fault;

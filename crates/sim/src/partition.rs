@@ -58,11 +58,13 @@
 //! buffered during the cycle, sorted by link id at the barrier, and
 //! applied exactly when the serial engine would make them visible.
 //! Control phases (faults, watchdogs, reroutes, hot-swap commits,
-//! retransmit emission) run on the parent before the shards step, each
-//! delegated to the shard owning the touched state in the serial
-//! phase's exact order. `tests/engine_parity.rs` enforces the claim:
-//! scan ≡ event ≡ sharded at 1/2/4/8 workers, including under faults,
-//! online recovery, GALS domains and TDMA slots.
+//! retransmit emission) run on the parent before the shards step. They
+//! exist once, in the crate's `control` module, written over the
+//! simulators that own node state: the parent passes its shards, a
+//! serial simulator passes itself as the only shard, so there is no
+//! sharded copy to keep in step. `tests/engine_parity.rs` enforces the
+//! claim: scan ≡ event ≡ sharded at 1/2/4/8 workers, including under
+//! faults, online recovery, GALS domains and TDMA slots.
 //!
 //! Worker count never affects results — only wall-clock time — so a
 //! sharded simulator may be budget-shaped
@@ -184,7 +186,7 @@ fn with_shards<R>(sim: &mut Simulator, body: impl FnOnce(&mut Simulator, &mut Sp
 /// One cycle in place: parent control phases, shard data phases,
 /// barrier merge.
 fn cycle(parent: &mut Simulator, shards: &mut [Simulator], shard_of_node: &[u32]) {
-    parent.part_parent_control(shards, shard_of_node);
+    parent.control(Some((&mut *shards, shard_of_node)));
     for sh in shards.iter_mut() {
         sh.part_step_data();
     }
@@ -259,7 +261,7 @@ pub(crate) fn run_loop(sim: &mut Simulator, cycles: u64, stop_when_idle: bool) {
                 if stop_when_idle && idle(parent, shards) {
                     break;
                 }
-                parent.part_parent_control(shards, shard_of_node);
+                parent.control(Some((&mut *shards, shard_of_node)));
                 for (i, sh) in shards.drain(..).enumerate() {
                     cmd[i % workers].send((i, sh)).expect("worker alive");
                 }
@@ -382,6 +384,66 @@ mod tests {
         assert!(sim.stats().total_delivered_flits > 0, "traffic flowed");
         assert!(sim.drain(20_000), "network drains");
         assert!(sim.credits_restored(), "credits conserved");
+    }
+
+    /// A sharded simulator traces its control plane exactly as the
+    /// serial engine does: the detections, epoch swaps and
+    /// retransmissions of a closed recovery loop come out identical at
+    /// 1, 2 and 4 workers.
+    #[test]
+    fn control_plane_trace_is_identical_at_any_worker_count() {
+        use crate::recovery::OnlineRecovery;
+        use crate::trace::{TraceEvent, TraceKind};
+        use noc_spec::fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget, RecoveryConfig};
+        use noc_topology::TurnModel;
+
+        let fabric = mesh_fabric(4, 4);
+        let link = fabric
+            .topology
+            .find_link(fabric.switch(1, 1), fabric.switch(1, 2))
+            .expect("mesh link");
+        let plan = FaultPlan::from_events(vec![FaultEvent {
+            target: FaultTarget::Link(link.0),
+            start: 500,
+            kind: FaultKind::Permanent,
+        }])
+        .with_recovery(RecoveryConfig::default());
+        let control_events = |workers: usize| -> Vec<TraceEvent> {
+            let cfg = SimConfig::default()
+                .with_warmup(0)
+                .with_partitioned_engine(workers);
+            let mut sim = Simulator::new(fabric.topology.clone(), cfg).with_seed(7);
+            sim.enable_trace(1 << 18);
+            for s in patterns::uniform_random(&fabric, 0.08, 4).expect("pattern") {
+                sim.add_source(s);
+            }
+            let mut rec = OnlineRecovery::install(&mut sim, &fabric, TurnModel::NorthLast, &plan)
+                .expect("survivable plan");
+            rec.run(&mut sim, 3_000);
+            let trace = sim.trace().expect("tracing on");
+            assert_eq!(trace.dropped(), 0, "the trace holds the whole run");
+            trace
+                .events()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        TraceKind::Detect | TraceKind::EpochSwap | TraceKind::Retransmit
+                    )
+                })
+                .copied()
+                .collect()
+        };
+        let serial = control_events(1);
+        for kind in [
+            TraceKind::Detect,
+            TraceKind::EpochSwap,
+            TraceKind::Retransmit,
+        ] {
+            assert!(serial.iter().any(|e| e.kind == kind), "{kind:?} traced");
+        }
+        for workers in [2, 4] {
+            assert_eq!(control_events(workers), serial, "{workers} workers");
+        }
     }
 
     #[test]

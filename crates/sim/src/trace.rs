@@ -6,7 +6,7 @@
 //! opt-in ([`Simulator::enable_trace`](crate::engine::Simulator::enable_trace));
 //! the hot path pays one branch when disabled.
 
-use crate::flit::PacketId;
+use crate::flit::{Flit, PacketId};
 use noc_spec::FlowId;
 use noc_topology::graph::LinkId;
 use serde::{Deserialize, Serialize};
@@ -175,6 +175,40 @@ pub struct Trace {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
+}
+
+/// Records one event into `trace` while tracing is enabled; a disabled
+/// trace costs the caller one branch.
+#[inline]
+pub(crate) fn record(
+    trace: &mut Option<Trace>,
+    cycle: u64,
+    kind: TraceKind,
+    packet: PacketId,
+    flow: Option<FlowId>,
+    link: Option<LinkId>,
+) {
+    if let Some(trace) = trace {
+        trace.record(TraceEvent {
+            cycle,
+            kind,
+            packet,
+            flow,
+            link,
+        });
+    }
+}
+
+/// [`record`]s an event of `flit` at `link`.
+#[inline]
+pub(crate) fn record_flit(
+    trace: &mut Option<Trace>,
+    cycle: u64,
+    kind: TraceKind,
+    flit: &Flit,
+    link: LinkId,
+) {
+    record(trace, cycle, kind, flit.packet, flit.flow, Some(link));
 }
 
 impl Trace {
