@@ -27,13 +27,13 @@ run_stage() {
 }
 
 # The workspace replaces all external dependencies with offline shims
-# (Cargo.toml [workspace.dependencies] points rand/proptest/criterion/
-# serde into vendor/). Catch a broken checkout before cargo produces a
+# (Cargo.toml [workspace.dependencies] points rand/proptest/serde into
+# vendor/). Catch a broken checkout before cargo produces a
 # confusing resolver error.
 preflight() {
   local missing=0
   local crate
-  for crate in rand proptest criterion serde serde_derive; do
+  for crate in rand proptest serde serde_derive; do
     if [[ ! -f "vendor/$crate/Cargo.toml" ]]; then
       echo "ci.sh: vendored crate 'vendor/$crate' is missing or stale" >&2
       missing=1
@@ -45,7 +45,7 @@ ci.sh: the offline dependency shims are incomplete.
   - every external dependency resolves to a path under vendor/ (this
     workspace never downloads from crates.io; there is no registry);
   - check the [workspace.dependencies] path entries in Cargo.toml:
-    rand, proptest, criterion and serde must all point into vendor/;
+    rand, proptest and serde must all point into vendor/;
   - restore the missing directories from git: `git checkout -- vendor/`.
 EOF
     exit 1

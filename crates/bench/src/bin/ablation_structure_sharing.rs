@@ -6,14 +6,18 @@
 //! plus the link-capacity class for custom fabrics — so re-deriving
 //! them at every grid point re-synthesizes the world per candidate.
 //! This ablation evaluates the CI DSE sweep (6 generated SoCs × the
-//! full 54-candidate grid) both ways and asserts the Pareto fronts are
-//! **byte-identical**, then reports the structure reuse rate and the
-//! wall-clock effect.
+//! full 54-candidate grid) both ways — per-point synthesis
+//! ([`naive_eval`]) and the DSE's own structure-sharing evaluator
+//! ([`SharedEval`], the code `explore` runs on a cache miss) — and
+//! asserts the Pareto fronts are **byte-identical**, then reports the
+//! structure reuse rate and the wall-clock effect.
 //!
 //! `cargo run --release -p noc-bench --bin ablation_structure_sharing`
 
-use noc::dse::{default_grid, generate_spec, Candidate, FrontPoint, ParetoFront};
-use noc_bench::grid_eval::{naive_eval, partitions_for, shared_eval};
+use noc::dse::{
+    default_grid, generate_spec, Candidate, DseConfig, FrontPoint, ParetoFront, SharedEval,
+};
+use noc_bench::grid_eval::{naive_eval, partitions_for};
 use noc_bench::{banner, table};
 use noc_floorplan::core_plan::CoreFloorplan;
 use noc_synth::eval::DesignMetrics;
@@ -67,11 +71,21 @@ fn main() {
         .collect();
     let naive_secs = t0.elapsed().as_secs_f64();
 
+    let cfg = DseConfig::default();
     let (mut built, mut reused) = (0u64, 0u64);
     let t1 = Instant::now();
     let shared: Vec<Vec<Option<DesignMetrics>>> = inputs
         .iter()
-        .map(|(spec, fp, parts)| shared_eval(spec, fp, parts, &grid, &mut built, &mut reused))
+        .map(|(spec, fp, parts)| {
+            let mut eval = SharedEval::new(spec, fp, parts, &cfg);
+            let metrics = grid
+                .iter()
+                .map(|cand| eval.evaluate(cand, |_, _| Vec::new()))
+                .collect();
+            built += eval.structure_misses;
+            reused += eval.structure_hits;
+            metrics
+        })
         .collect();
     let shared_secs = t1.elapsed().as_secs_f64();
 

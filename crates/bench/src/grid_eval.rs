@@ -1,41 +1,19 @@
-//! Evaluation of the DSE candidate grid against a single spec, both
-//! ways: naive per-grid-point synthesis and the shared structure
-//! phase. Used by the A9 ablation (`ablation_structure_sharing`) and
-//! the `fig6/synthesis_grid` criterion bench, so both measure exactly
-//! the code path the DSE shard runs.
+//! Per-grid-point evaluation of the DSE candidate grid against one
+//! spec: the independent reference the DSE's structure-sharing
+//! evaluator ([`noc::dse::SharedEval`]) must reproduce bit for bit. The
+//! A9 ablation (`ablation_structure_sharing`) and this module's test
+//! compare the two; the `fig6/synthesis_grid` pin times the shared one.
+//! Both use the [`DseConfig::default`] technology, utilization cap and
+//! cluster slack.
 
-use noc::dse::{Candidate, TopologyFamily};
+use noc::dse::{mesh_shape, Candidate, DseConfig, TopologyFamily};
 use noc_floorplan::core_plan::CoreFloorplan;
-use noc_power::technology::TechNode;
 use noc_spec::AppSpec;
-use noc_synth::eval::{DesignMetrics, EvalOptions};
-use noc_synth::mapping::{
-    build_mesh_structure, map_to_mesh_with_options, mesh_order, MeshStructure,
-};
+use noc_synth::eval::DesignMetrics;
+use noc_synth::mapping::map_to_mesh_with_options;
 use noc_synth::partition::{partition, Partition};
-use noc_synth::sunfloor::{
-    build_structure, capacity_bits, synthesize_candidate, CandidateStructure, SynthesisConfig,
-};
-use noc_topology::graph::Topology;
+use noc_synth::sunfloor::{synthesize_candidate, SynthesisConfig};
 use std::collections::BTreeMap;
-
-/// Link utilization cap used throughout the DSE defaults.
-pub const UTIL_CAP: f64 = 0.75;
-/// Technology node used throughout the DSE defaults.
-pub const TECH: TechNode = TechNode::NM65;
-
-fn options(cand: &Candidate) -> EvalOptions {
-    EvalOptions {
-        buffer_depth: cand.buffer_depth,
-        vcs: cand.vcs,
-        output_buffers: false,
-    }
-}
-
-fn mesh_shape(n: usize) -> (usize, usize) {
-    let cols = (n as f64).sqrt().ceil() as usize;
-    (n.div_ceil(cols.max(1)), cols)
-}
 
 /// One partition per distinct custom switch count of `grid` (clamped
 /// to the spec's core count), as the DSE shard computes them.
@@ -45,7 +23,9 @@ pub fn partitions_for(spec: &AppSpec, grid: &[Candidate]) -> BTreeMap<usize, Par
     for cand in grid {
         if let TopologyFamily::Custom { switches } = cand.family {
             let k = switches.clamp(1, n);
-            parts.entry(k).or_insert_with(|| partition(spec, k, 1));
+            parts
+                .entry(k)
+                .or_insert_with(|| partition(spec, k, DseConfig::default().cluster_slack));
         }
     }
     parts
@@ -60,6 +40,7 @@ pub fn naive_eval(
     grid: &[Candidate],
 ) -> Vec<Option<DesignMetrics>> {
     let n = spec.cores().len();
+    let cfg = DseConfig::default();
     grid.iter()
         .map(|cand| match cand.family {
             TopologyFamily::Custom { switches } => {
@@ -68,8 +49,8 @@ pub fn naive_eval(
                     flit_width: cand.width,
                     widths: Vec::new(),
                     clocks: vec![cand.clock],
-                    utilization_cap: UTIL_CAP,
-                    tech: TECH,
+                    utilization_cap: cfg.utilization_cap,
+                    tech: cfg.tech,
                     buffer_depth: cand.buffer_depth,
                     vcs: cand.vcs,
                     ..SynthesisConfig::default()
@@ -85,9 +66,9 @@ pub fn naive_eval(
                     cols,
                     cand.clock,
                     cand.width,
-                    TECH,
+                    cfg.tech,
                     Some(fp),
-                    options(cand),
+                    cand.eval_options(),
                 )
                 .ok()
                 .map(|d| d.metrics)
@@ -96,70 +77,26 @@ pub fn naive_eval(
         .collect()
 }
 
-/// The shared path: structures per (k, width) capacity class, one mesh
-/// order per spec, one mesh structure per width, retimed topologies
-/// memoized per (width, clock) — mirroring the DSE shard. `built` and
-/// `reused` count structure misses and hits.
-pub fn shared_eval(
-    spec: &AppSpec,
-    fp: &CoreFloorplan,
-    parts: &BTreeMap<usize, Partition>,
-    grid: &[Candidate],
-    built: &mut u64,
-    reused: &mut u64,
-) -> Vec<Option<DesignMetrics>> {
-    let n = spec.cores().len();
-    let mut pools: BTreeMap<(usize, u32), Vec<CandidateStructure>> = BTreeMap::new();
-    let mut ord: Option<Option<Vec<noc_spec::CoreId>>> = None;
-    let mut mesh_structs: BTreeMap<u32, Option<MeshStructure>> = BTreeMap::new();
-    let mut mesh_topos: BTreeMap<(u32, u64), Topology> = BTreeMap::new();
-    grid.iter()
-        .map(|cand| match cand.family {
-            TopologyFamily::Custom { switches } => {
-                let k = switches.clamp(1, n);
-                let pool = pools.entry((k, cand.width)).or_default();
-                let cap = capacity_bits(cand.width, cand.clock, UTIL_CAP);
-                let idx = match pool.iter().position(|s| s.admits(cand.width, cap)) {
-                    Some(i) => {
-                        *reused += 1;
-                        Some(i)
-                    }
-                    None => {
-                        *built += 1;
-                        build_structure(spec, &parts[&k], fp, cand.width, cand.clock, UTIL_CAP)
-                            .ok()
-                            .map(|s| {
-                                pool.push(s);
-                                pool.len() - 1
-                            })
-                    }
-                };
-                idx.and_then(|i| pool[i].evaluate(cand.clock, TECH, UTIL_CAP, options(cand)))
-            }
-            TopologyFamily::Mesh => {
-                let (rows, cols) = mesh_shape(n);
-                let order = ord
-                    .get_or_insert_with(|| mesh_order(spec, rows, cols).ok())
-                    .clone();
-                let structure = match mesh_structs.entry(cand.width) {
-                    std::collections::btree_map::Entry::Occupied(e) => {
-                        *reused += 1;
-                        e.into_mut()
-                    }
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        *built += 1;
-                        e.insert(order.and_then(|o| {
-                            build_mesh_structure(spec, o, rows, cols, cand.width, Some(fp)).ok()
-                        }))
-                    }
-                };
-                structure.as_ref().map(|s| {
-                    let topo = mesh_topos
-                        .entry((cand.width, cand.clock.raw()))
-                        .or_insert_with(|| s.retimed_topology(cand.clock, TECH));
-                    s.evaluate_retimed(topo, cand.clock, TECH, options(cand))
-                })
-            }
-        })
-        .collect()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc::dse::{default_grid, generate_spec, SharedEval};
+
+    /// The DSE's own structure-sharing evaluator reproduces per-point
+    /// synthesis on every candidate of the default grid.
+    #[test]
+    fn shared_evaluator_matches_naive_synthesis() {
+        let spec = generate_spec(0xD5E, 0);
+        let fp = CoreFloorplan::from_spec_chains_sized(&spec, 0xD5E, 1);
+        let grid = default_grid();
+        let parts = partitions_for(&spec, &grid);
+        let naive = naive_eval(&spec, &fp, &parts, &grid);
+        let mut shared = SharedEval::new(&spec, &fp, &parts, &DseConfig::default());
+        for (cand, expected) in grid.iter().zip(&naive) {
+            let got = shared.evaluate(cand, |_, _| Vec::new());
+            assert_eq!(&got, expected, "{}", cand.label());
+        }
+        assert!(naive.iter().any(Option::is_some), "some candidate builds");
+        assert!(shared.structure_hits > shared.structure_misses);
+    }
 }

@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod grid_eval;
+pub mod pins;
 
 use std::fmt::Write as _;
 
@@ -57,56 +58,6 @@ pub fn banner(id: &str, title: &str) {
     println!("== {id}: {title} ==");
 }
 
-/// Deterministic synthetic floorplan stress case: `n` blocks with mixed
-/// aspect ratios and a sparse net list (a communication ring plus one
-/// hashed cross-link per block). Shared by the
-/// `floorplan/slicing_anneal_60_blocks` criterion bench and the
-/// corresponding `bench_guard` measurement so both time the same input.
-pub fn stress_floorplan(
-    n: usize,
-) -> (
-    Vec<noc_floorplan::block::Block>,
-    Vec<noc_floorplan::slicing::Net>,
-) {
-    // SplitMix64 as the dimension/net hash: fully deterministic, no RNG
-    // state threaded through the callers.
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let blocks = (0..n)
-        .map(|i| {
-            let h = mix(i as u64);
-            let w = 60.0 + (h % 300) as f64;
-            let ht = 60.0 + ((h >> 32) % 300) as f64;
-            noc_floorplan::block::Block::new(
-                format!("s{i}"),
-                noc_spec::units::Micrometers(w),
-                noc_spec::units::Micrometers(ht),
-            )
-        })
-        .collect();
-    let mut nets = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        nets.push(noc_floorplan::slicing::Net {
-            a: i,
-            b: (i + 1) % n,
-            weight: 1.0,
-        });
-        let partner = (mix(0xC0FFEE ^ i as u64) % n as u64) as usize;
-        if partner != i {
-            nets.push(noc_floorplan::slicing::Net {
-                a: i,
-                b: partner,
-                weight: 0.25,
-            });
-        }
-    }
-    (blocks, nets)
-}
-
 /// The two traffic shapes of the step-scaling experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPattern {
@@ -123,9 +74,9 @@ pub enum StepPattern {
 /// Warmed-up `n`×`n` mesh under `pattern` with *clocked*
 /// (Constant-process) injection at `rate` flits/cycle/node — the shared
 /// scenario of the step-scaling experiments: the
-/// `fig4/step_throughput_*` guard entries, the matching criterion
-/// bench, and the `fig4_step_scaling` tables all time exactly this
-/// simulator, so their numbers are comparable. `workers ≥ 2` shards the
+/// `fig4/step_throughput_32x32_*` and `_64x64_*` pins and the
+/// `fig4_step_scaling` tables all time exactly this simulator, so their
+/// numbers are comparable. `workers ≥ 2` shards the
 /// simulator (`SimConfig::with_partitioned_engine`), bit-identical to
 /// the serial engine by the parity contract (`engine_parity.rs`) —
 /// only wall-clock time differs; `scan_engine` selects the scan
@@ -176,19 +127,26 @@ pub fn step_scaling_sim(
     sim
 }
 
-/// Best-of-`rounds` mean µs per `step()` over `steps` warm steps —
-/// the uniform timing discipline of the step-cost measurements.
-pub fn step_us(sim: &mut noc_sim::engine::Simulator, rounds: usize, steps: u64) -> f64 {
+/// Best-of-`rounds` mean µs per call of `f` over `iters` calls per
+/// round — the one timing discipline of every benchmark pin.
+pub(crate) fn best_of_us<T>(rounds: usize, iters: u64, mut f: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..rounds {
         let t0 = std::time::Instant::now();
-        for _ in 0..steps {
-            sim.step();
-            std::hint::black_box(sim.stats().total_delivered_flits);
+        for _ in 0..iters {
+            std::hint::black_box(f());
         }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6 / steps as f64);
+        best = best.min(t0.elapsed().as_secs_f64() * 1e6 / iters as f64);
     }
     best
+}
+
+/// Best-of-`rounds` mean µs per `step()` over `steps` warm steps.
+pub fn step_us(sim: &mut noc_sim::engine::Simulator, rounds: usize, steps: u64) -> f64 {
+    best_of_us(rounds, steps, || {
+        sim.step();
+        sim.stats().total_delivered_flits
+    })
 }
 
 /// Best-of-`rounds` mean µs per cycle over `steps`-cycle threaded
@@ -197,15 +155,11 @@ pub fn step_us(sim: &mut noc_sim::engine::Simulator, rounds: usize, steps: u64) 
 /// `step`, because that is how a sharded simulator is driven in
 /// production; the per-burst thread spawn amortizes over `steps`.
 pub fn run_us_partitioned(sim: &mut noc_sim::engine::Simulator, rounds: usize, steps: u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t0 = std::time::Instant::now();
+    let per_burst = best_of_us(rounds, 1, || {
         sim.run(steps);
-        let us = t0.elapsed().as_secs_f64() * 1e6 / steps as f64;
-        std::hint::black_box(sim.stats().total_delivered_flits);
-        best = best.min(us);
-    }
-    best
+        sim.stats().total_delivered_flits
+    });
+    per_burst / steps as f64
 }
 
 #[cfg(test)]

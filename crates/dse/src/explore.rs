@@ -32,28 +32,26 @@
 //! ## Structure sharing
 //!
 //! Candidate metrics stay individually cached, but on a *miss* the
-//! shard no longer re-synthesizes from scratch: custom candidates share
-//! routed [`CandidateStructure`]s per `(k, width)` (reused across
-//! clocks whenever the capacity signature admits it, persisted in the
-//! pool entries above), and mesh candidates share one placement order
-//! per shard and one routed [`MeshStructure`] per width, in memory.
-//! Only the cheap parameter phase (retiming + evaluation) runs per
-//! grid point.
+//! shard no longer re-synthesizes from scratch: it hands the candidate
+//! to one [`SharedEval`], which shares routed structures across grid
+//! points. Custom pools are loaded from the pool entries above the
+//! first time a miss touches them and persisted when extended; mesh
+//! structures live in memory for the shard. Only the cheap parameter
+//! phase (retiming + evaluation) runs per grid point.
 
 use crate::front::{FrontPoint, ParetoFront};
 use crate::generator::generate_spec;
 use crate::grid::{Candidate, TopologyFamily};
+use crate::shared::SharedEval;
 use crate::store::Store;
 use noc_floorplan::core_plan::CoreFloorplan;
 use noc_par::ParRunner;
 use noc_power::technology::TechNode;
 use noc_spec::canon::{content_hash, hash_parts, CanonReader, Canonical, ContentHash};
 use noc_synth::canon::{decode_structures, encode_structures};
-use noc_synth::eval::{DesignMetrics, EvalOptions};
-use noc_synth::mapping::{build_mesh_structure, mesh_order, MeshStructure};
+use noc_synth::eval::DesignMetrics;
 use noc_synth::partition::{partition, Partition};
-use noc_synth::sunfloor::{build_structure, capacity_bits, CandidateStructure};
-use noc_topology::graph::Topology;
+use noc_synth::sunfloor::CandidateStructure;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -151,34 +149,20 @@ struct ShardResult {
     structure_misses: u64,
 }
 
-/// Per-`(k, width)` pool of routed custom structures for one shard.
-/// Lazily loaded from the store on the first candidate-metrics miss
-/// (warm runs therefore never touch structure keys), extended as
-/// clocks fall outside every recorded capacity signature, and
-/// persisted when dirty.
-struct StructPool {
+/// The stored structures of one custom `(k, width)` pool, or none
+/// when the key is absent or its bytes do not decode. Called lazily on
+/// the first candidate-metrics miss that touches the pool, so warm runs
+/// never read structure keys.
+fn load_pool(
     key: ContentHash,
-    structures: Vec<CandidateStructure>,
-    dirty: bool,
-}
-
-impl StructPool {
-    fn load(
-        key: ContentHash,
-        store: &Store,
-        spec: &noc_spec::AppSpec,
-        fp: &CoreFloorplan,
-    ) -> StructPool {
-        let structures = store
-            .get(key)
-            .and_then(|bytes| decode_structures(&bytes, spec, fp).ok())
-            .unwrap_or_default();
-        StructPool {
-            key,
-            structures,
-            dirty: false,
-        }
-    }
+    store: &Store,
+    spec: &noc_spec::AppSpec,
+    fp: &CoreFloorplan,
+) -> Vec<CandidateStructure> {
+    store
+        .get(key)
+        .and_then(|bytes| decode_structures(&bytes, spec, fp).ok())
+        .unwrap_or_default()
 }
 
 /// Fetches a `Canonical` value by key, recomputing (and scheduling an
@@ -225,7 +209,8 @@ fn eval_shard(
     let fp_hash = content_hash(&fp_bytes);
 
     // Stage 2: one partition per distinct custom switch count.
-    let mut parts: BTreeMap<usize, (Partition, ContentHash)> = BTreeMap::new();
+    let mut parts: BTreeMap<usize, Partition> = BTreeMap::new();
+    let mut part_hashes: BTreeMap<usize, ContentHash> = BTreeMap::new();
     for cand in grid {
         if let TopologyFamily::Custom { switches } = cand.family {
             let k = switches.clamp(1, n);
@@ -234,139 +219,53 @@ fn eval_shard(
                 let (part, bytes) = cached(store, key, &mut new_entries, || {
                     partition(&spec, k, cfg.cluster_slack)
                 });
-                (part, content_hash(&bytes))
+                part_hashes.insert(k, content_hash(&bytes));
+                part
             });
         }
     }
 
-    // Stage 3: every candidate, metrics cached individually. Misses
-    // share structures: custom per (k, width) via capacity-signature
-    // pools, mesh per width (order once per shard), with retimed
-    // topologies memoized per (width, clock).
+    // Stage 3: every candidate, metrics cached individually; misses go
+    // to the shared evaluator, whose custom pools live under
+    // run-independent keys.
+    let pool_key = |k: usize, width: u32| {
+        hash_parts(
+            "struct",
+            &[
+                &spec_hash.0,
+                &fp_hash.0,
+                &part_hashes[&k].0,
+                &width.to_canon_bytes(),
+            ],
+        )
+    };
+    let mut shared = SharedEval::new(&spec, &fp, &parts, cfg);
     let mut points = Vec::new();
-    let mut structure_hits = 0u64;
-    let mut structure_misses = 0u64;
-    let mut pools: BTreeMap<(usize, u32), StructPool> = BTreeMap::new();
-    let mut mesh_ord: Option<Option<Vec<noc_spec::CoreId>>> = None;
-    let mut mesh_structs: BTreeMap<u32, Option<MeshStructure>> = BTreeMap::new();
-    let mut mesh_topos: BTreeMap<(u32, u64), Topology> = BTreeMap::new();
     for cand in grid {
         let cand_bytes = cand.to_canon_bytes();
-        let options = EvalOptions {
-            buffer_depth: cand.buffer_depth,
-            vcs: cand.vcs,
-            output_buffers: false,
-        };
-        let metrics: Option<DesignMetrics> = match cand.family {
+        let key = match cand.family {
             TopologyFamily::Custom { switches } => {
-                let k = switches.clamp(1, n);
-                let (part, part_hash) = &parts[&k];
-                let key = hash_parts(
+                let part_hash = &part_hashes[&switches.clamp(1, n)].0;
+                hash_parts(
                     "cand",
-                    &[&run.0, &spec_hash.0, &cand_bytes, &fp_hash.0, &part_hash.0],
-                );
-                let hit = store
-                    .get(key)
-                    .and_then(|b| Option::<DesignMetrics>::from_canon_bytes(&b).ok());
-                match hit {
-                    Some(v) => v,
-                    None => {
-                        let pool = pools.entry((k, cand.width)).or_insert_with(|| {
-                            let pkey = hash_parts(
-                                "struct",
-                                &[
-                                    &spec_hash.0,
-                                    &fp_hash.0,
-                                    &part_hash.0,
-                                    &cand.width.to_canon_bytes(),
-                                ],
-                            );
-                            StructPool::load(pkey, store, &spec, &fp)
-                        });
-                        let cap = capacity_bits(cand.width, cand.clock, cfg.utilization_cap);
-                        let idx = match pool
-                            .structures
-                            .iter()
-                            .position(|s| s.admits(cand.width, cap))
-                        {
-                            Some(i) => {
-                                structure_hits += 1;
-                                Some(i)
-                            }
-                            None => {
-                                structure_misses += 1;
-                                build_structure(
-                                    &spec,
-                                    part,
-                                    &fp,
-                                    cand.width,
-                                    cand.clock,
-                                    cfg.utilization_cap,
-                                )
-                                .ok()
-                                .map(|s| {
-                                    pool.structures.push(s);
-                                    pool.dirty = true;
-                                    pool.structures.len() - 1
-                                })
-                            }
-                        };
-                        let v = idx.and_then(|i| {
-                            pool.structures[i].evaluate(
-                                cand.clock,
-                                cfg.tech,
-                                cfg.utilization_cap,
-                                options,
-                            )
-                        });
-                        new_entries.push((key, v.to_canon_bytes()));
-                        v
-                    }
-                }
+                    &[&run.0, &spec_hash.0, &cand_bytes, &fp_hash.0, part_hash],
+                )
             }
             TopologyFamily::Mesh => {
-                let key = hash_parts("cand", &[&run.0, &spec_hash.0, &cand_bytes, &fp_hash.0]);
-                let hit = store
-                    .get(key)
-                    .and_then(|b| Option::<DesignMetrics>::from_canon_bytes(&b).ok());
-                match hit {
-                    Some(v) => v,
-                    None => {
-                        let cols = (n as f64).sqrt().ceil() as usize;
-                        let rows = n.div_ceil(cols.max(1));
-                        let ord = mesh_ord
-                            .get_or_insert_with(|| mesh_order(&spec, rows, cols).ok())
-                            .clone();
-                        let structure = match mesh_structs.entry(cand.width) {
-                            std::collections::btree_map::Entry::Occupied(e) => {
-                                structure_hits += 1;
-                                e.into_mut()
-                            }
-                            std::collections::btree_map::Entry::Vacant(e) => {
-                                structure_misses += 1;
-                                e.insert(ord.and_then(|o| {
-                                    build_mesh_structure(
-                                        &spec,
-                                        o,
-                                        rows,
-                                        cols,
-                                        cand.width,
-                                        Some(&fp),
-                                    )
-                                    .ok()
-                                }))
-                            }
-                        };
-                        let v = structure.as_ref().map(|s| {
-                            let topo = mesh_topos
-                                .entry((cand.width, cand.clock.raw()))
-                                .or_insert_with(|| s.retimed_topology(cand.clock, cfg.tech));
-                            s.evaluate_retimed(topo, cand.clock, cfg.tech, options)
-                        });
-                        new_entries.push((key, v.to_canon_bytes()));
-                        v
-                    }
-                }
+                hash_parts("cand", &[&run.0, &spec_hash.0, &cand_bytes, &fp_hash.0])
+            }
+        };
+        let hit = store
+            .get(key)
+            .and_then(|b| Option::<DesignMetrics>::from_canon_bytes(&b).ok());
+        let metrics = match hit {
+            Some(v) => v,
+            None => {
+                let v = shared.evaluate(cand, |k, width| {
+                    load_pool(pool_key(k, width), store, &spec, &fp)
+                });
+                new_entries.push((key, v.to_canon_bytes()));
+                v
             }
         };
         if let Some(m) = metrics {
@@ -383,16 +282,14 @@ fn eval_shard(
     }
     // Persist extended pools (first write wins in the store, so a
     // re-persist of an already-stored pool is a harmless no-op).
-    for pool in pools.into_values() {
-        if pool.dirty {
-            new_entries.push((pool.key, encode_structures(&pool.structures)));
-        }
+    for ((k, width), structures) in shared.dirty_pools() {
+        new_entries.push((pool_key(k, width), encode_structures(structures)));
     }
     ShardResult {
         new_entries,
         points,
-        structure_hits,
-        structure_misses,
+        structure_hits: shared.structure_hits,
+        structure_misses: shared.structure_misses,
     }
 }
 

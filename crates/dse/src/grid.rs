@@ -8,6 +8,7 @@
 
 use noc_spec::canon::{CanonError, CanonReader, Canonical};
 use noc_spec::units::Hertz;
+use noc_synth::eval::EvalOptions;
 
 /// Which topology construction a candidate uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -18,8 +19,15 @@ pub enum TopologyFamily {
         /// Requested switch/cluster count.
         switches: usize,
     },
-    /// SUNMAP-style regular mesh sized `ceil(sqrt(n)) × ceil(n/cols)`.
+    /// SUNMAP-style regular mesh sized by [`mesh_shape`].
     Mesh,
+}
+
+/// `(rows, cols)` of the mesh for `n` cores: `cols = ceil(sqrt(n))`,
+/// `rows = ceil(n / cols)`.
+pub fn mesh_shape(n: usize) -> (usize, usize) {
+    let cols = (n as f64).sqrt().ceil() as usize;
+    (n.div_ceil(cols.max(1)), cols)
 }
 
 impl Canonical for TopologyFamily {
@@ -75,6 +83,16 @@ impl Candidate {
             self.buffer_depth,
             self.vcs
         )
+    }
+
+    /// The buffering this candidate is evaluated with (input buffers
+    /// only: the DSE sweeps ON/OFF-style switches).
+    pub fn eval_options(&self) -> EvalOptions {
+        EvalOptions {
+            buffer_depth: self.buffer_depth,
+            vcs: self.vcs,
+            output_buffers: false,
+        }
     }
 }
 

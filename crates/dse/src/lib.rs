@@ -35,10 +35,12 @@ pub mod explore;
 pub mod front;
 pub mod generator;
 pub mod grid;
+pub mod shared;
 pub mod store;
 
 pub use crate::explore::{explore, DseConfig, DseReport};
 pub use crate::front::{FrontPoint, ParetoFront};
 pub use crate::generator::{generate_spec, SocFamily};
-pub use crate::grid::{default_grid, Candidate, TopologyFamily};
+pub use crate::grid::{default_grid, mesh_shape, Candidate, TopologyFamily};
+pub use crate::shared::SharedEval;
 pub use crate::store::{Store, StoreStats};
