@@ -24,7 +24,10 @@
 //!   single-chain floorplan annealing run (the unit `run_multi` fans out
 //!   N of) of the mobile SoC's 26 blocks and of a 60-block synthetic
 //!   stress case;
-//! * `dse/specs_per_sec` — a cold serial DSE exploration, in µs per spec.
+//! * `dse/specs_per_sec` — a cold serial DSE exploration, in µs per spec;
+//! * `flow/run_flow_mobile_soc` — one whole Fig. 6 flow (`run_flow`
+//!   with the default configuration) on the mobile SoC: floorplan,
+//!   synthesis and the parallel verification of its Pareto designs.
 //!
 //! The baseline is read with a purpose-built scanner (the workspace
 //! vendors no JSON crate) that knows exactly as much JSON as the file
@@ -32,6 +35,7 @@
 
 use crate::{best_of_us, run_us_partitioned, step_scaling_sim, step_us, StepPattern};
 use noc::dse::{default_grid, explore, generate_spec, DseConfig, SharedEval, Store};
+use noc::flow::{run_flow, FlowConfig};
 use noc_floorplan::block::Block;
 use noc_floorplan::core_plan::{spec_annealer, CoreFloorplan};
 use noc_floorplan::slicing::{Net, SlicingFloorplanner};
@@ -123,6 +127,16 @@ pub const PINS: &[Pin] = &[
     Pin {
         name: "dse/specs_per_sec",
         measure: dse_us_per_spec,
+    },
+    Pin {
+        name: "flow/run_flow_mobile_soc",
+        measure: || {
+            let spec = presets::mobile_multimedia_soc();
+            best_of_us(5, 1, || {
+                let outcome = run_flow(&spec, None, &FlowConfig::default()).expect("feasible");
+                outcome.designs.len()
+            })
+        },
     },
 ];
 
@@ -350,8 +364,8 @@ mod tests {
     }
 
     #[test]
-    fn real_baseline_parses_all_eleven_pins() {
-        assert_eq!(PINS.len(), 11);
+    fn real_baseline_parses_every_pin() {
+        assert_eq!(PINS.len(), 12);
         for pin in PINS {
             let (mean, tol) = baseline_for(BASELINE, pin.name).expect(pin.name);
             assert!(mean > 0.0 && tol > 0.0, "{}", pin.name);

@@ -19,6 +19,9 @@ pub enum FlowError {
     Synth(SynthError),
     /// Simulation setup failed.
     Sim(SimError),
+    /// The flow configuration cannot give a meaningful result (the
+    /// message names the offending field).
+    InvalidConfig(String),
 }
 
 impl fmt::Display for FlowError {
@@ -28,6 +31,7 @@ impl fmt::Display for FlowError {
             FlowError::Topology(e) => write!(f, "topology error: {e}"),
             FlowError::Synth(e) => write!(f, "synthesis error: {e}"),
             FlowError::Sim(e) => write!(f, "simulation error: {e}"),
+            FlowError::InvalidConfig(why) => write!(f, "invalid flow configuration: {why}"),
         }
     }
 }
@@ -39,6 +43,7 @@ impl Error for FlowError {
             FlowError::Topology(e) => Some(e),
             FlowError::Synth(e) => Some(e),
             FlowError::Sim(e) => Some(e),
+            FlowError::InvalidConfig(_) => None,
         }
     }
 }

@@ -7,12 +7,16 @@
 //! 2. synthesizes the Pareto set of custom topologies (`noc-synth`),
 //!    floorplan-aware, deadlock-free, bandwidth-feasible;
 //! 3. verifies each Pareto point by flit-level simulation (`noc-sim`),
-//!    checking delivered bandwidth and GT guarantees;
+//!    checking delivered bandwidth and GT guarantees. The designs are
+//!    independent simulations, all seeded with [`FlowConfig::seed`], so
+//!    they run in parallel on a [`ParRunner`] and come back in design
+//!    order: the outcome is bit-identical to verifying them one by one;
 //! 4. emits structural Verilog and a high-level simulation model for the
 //!    chosen instance (`noc-rtl`).
 
 use crate::error::FlowError;
 use noc_floorplan::core_plan::CoreFloorplan;
+use noc_par::ParRunner;
 use noc_rtl::verilog::EmitOptions;
 use noc_sim::config::SimConfig;
 use noc_sim::engine::Simulator;
@@ -29,12 +33,13 @@ pub struct FlowConfig {
     /// Cycles of flit-level verification per design (0 skips
     /// verification).
     pub verify_cycles: u64,
-    /// Warmup cycles excluded from verification statistics.
+    /// Warmup cycles excluded from verification statistics (below
+    /// `verify_cycles` when verification runs).
     pub verify_warmup: u64,
     /// TDMA frame length for GT reservations.
     pub gt_frame: usize,
     /// Fraction of demanded bandwidth that must be delivered in
-    /// verification (sampling noise allowance).
+    /// verification (sampling noise allowance), in `[0, 1]`.
     pub delivery_threshold: f64,
     /// Traffic seed for verification runs.
     pub seed: u64,
@@ -126,17 +131,45 @@ impl FlowOutcome {
     }
 }
 
+/// Checks that verification, when it runs, can give a meaningful
+/// verdict. An empty measurement window counts no packet, and a NaN or
+/// negative delivery threshold passes every GT check, so either would
+/// report any design as verified. With `verify_cycles == 0`
+/// verification is skipped and neither field is read.
+fn check_config(cfg: &FlowConfig) -> Result<(), FlowError> {
+    if cfg.verify_cycles == 0 {
+        return Ok(());
+    }
+    if cfg.verify_warmup >= cfg.verify_cycles {
+        return Err(FlowError::InvalidConfig(format!(
+            "verify_warmup ({}) leaves no measured cycle of verify_cycles ({})",
+            cfg.verify_warmup, cfg.verify_cycles
+        )));
+    }
+    if !(0.0..=1.0).contains(&cfg.delivery_threshold) {
+        return Err(FlowError::InvalidConfig(format!(
+            "delivery_threshold ({}) is not a fraction in [0, 1]",
+            cfg.delivery_threshold
+        )));
+    }
+    Ok(())
+}
+
 /// Simulates one synthesized design against the spec's traffic and
 /// checks delivery.
 ///
 /// # Errors
 ///
-/// Propagates simulator-setup failures ([`FlowError::Sim`]).
+/// [`FlowError::InvalidConfig`] when verification cannot give a
+/// meaningful verdict (`verify_warmup >= verify_cycles > 0`, or a
+/// `delivery_threshold` outside `[0, 1]`); propagates simulator-setup
+/// failures ([`FlowError::Sim`]).
 pub fn verify_design(
     spec: &AppSpec,
     design: &SynthesizedDesign,
     cfg: &FlowConfig,
 ) -> Result<Verification, FlowError> {
+    check_config(cfg)?;
     let sim_cfg = SimConfig::default()
         .with_clock(design.clock)
         .with_flit_width(
@@ -200,13 +233,17 @@ pub fn verify_design(
 ///
 /// # Errors
 ///
-/// [`FlowError::Synth`] when no feasible design exists, [`FlowError::Sim`]
-/// on verification-setup failure.
+/// [`FlowError::InvalidConfig`] before any work when verification could
+/// not give a meaningful verdict (see [`verify_design`]),
+/// [`FlowError::Synth`] when no feasible design exists,
+/// [`FlowError::Sim`] on verification-setup failure (of the first
+/// failing design in power order).
 pub fn run_flow(
     spec: &AppSpec,
     floorplan: Option<CoreFloorplan>,
     cfg: &FlowConfig,
 ) -> Result<FlowOutcome, FlowError> {
+    check_config(cfg)?;
     let fp = match floorplan {
         Some(f) => f,
         None => CoreFloorplan::from_spec_chains(
@@ -217,20 +254,27 @@ pub fn run_flow(
     };
     let mut designs = synthesize(spec, Some(&fp), &cfg.synthesis)?;
     designs.sort_by(|a, b| a.metrics.power.raw().total_cmp(&b.metrics.power.raw()));
-    let mut out = Vec::with_capacity(designs.len());
-    for design in designs {
-        let verification = if cfg.verify_cycles > 0 {
-            Some(verify_design(spec, &design, cfg)?)
-        } else {
-            None
-        };
-        out.push(FlowDesign {
-            design,
-            verification,
-        });
-    }
+    // Every design is simulated with `cfg.seed`, never the runner's
+    // per-point seed, so verifying in parallel changes only wall time.
+    let verifications = if cfg.verify_cycles > 0 {
+        ParRunner::new()
+            .run(cfg.seed, &designs, |design, _| {
+                verify_design(spec, design, cfg).map(Some)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+    } else {
+        vec![None; designs.len()]
+    };
     Ok(FlowOutcome {
-        designs: out,
+        designs: designs
+            .into_iter()
+            .zip(verifications)
+            .map(|(design, verification)| FlowDesign {
+                design,
+                verification,
+            })
+            .collect(),
         floorplan: fp,
     })
 }
@@ -238,6 +282,7 @@ pub fn run_flow(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_sim::error::SimError;
     use noc_spec::presets;
     use noc_spec::units::Hertz;
 
@@ -291,6 +336,77 @@ mod tests {
         for pair in outcome.designs.windows(2) {
             assert!(pair[0].design.metrics.power.raw() <= pair[1].design.metrics.power.raw());
         }
+    }
+
+    #[test]
+    fn zero_length_gt_frame_is_a_slot_overflow_not_a_panic() {
+        let spec = presets::faust_telecom();
+        let mut cfg = quick_cfg();
+        cfg.synthesis.min_switches = 6;
+        cfg.synthesis.max_switches = 6;
+        cfg.synthesis.clocks = vec![Hertz::from_mhz(500)];
+        cfg.verify_cycles = 100;
+        cfg.verify_warmup = 10;
+        cfg.gt_frame = 0;
+        assert!(matches!(
+            run_flow(&spec, None, &cfg),
+            Err(FlowError::Sim(SimError::SlotOverflow { available: 0, .. }))
+        ));
+    }
+
+    #[test]
+    fn empty_verification_window_is_rejected() {
+        let spec = presets::tiny_quad();
+        let mut cfg = quick_cfg();
+        cfg.verify_cycles = 2_000;
+        cfg.verify_warmup = 5_000;
+        assert!(matches!(
+            run_flow(&spec, None, &cfg),
+            Err(FlowError::InvalidConfig(_))
+        ));
+        cfg.verify_warmup = cfg.verify_cycles;
+        assert!(matches!(
+            run_flow(&spec, None, &cfg),
+            Err(FlowError::InvalidConfig(_))
+        ));
+        // No verification, nothing to measure: the warmup is not read.
+        cfg.verify_cycles = 0;
+        assert!(run_flow(&spec, None, &cfg).is_ok());
+    }
+
+    #[test]
+    fn delivery_threshold_outside_unit_interval_is_rejected() {
+        let spec = presets::tiny_quad();
+        for threshold in [f64::NAN, -0.1, 1.5] {
+            let mut cfg = quick_cfg();
+            cfg.delivery_threshold = threshold;
+            let err = run_flow(&spec, None, &cfg).expect_err("rejected");
+            assert!(
+                matches!(&err, FlowError::InvalidConfig(why) if why.contains("delivery_threshold")),
+                "{threshold}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn verify_design_checks_its_config_too() {
+        let spec = presets::tiny_quad();
+        let mut cfg = quick_cfg();
+        cfg.verify_cycles = 0;
+        let outcome = run_flow(&spec, None, &cfg).expect("feasible");
+        let design = &outcome.designs[0].design;
+        cfg.verify_cycles = 2_000;
+        cfg.verify_warmup = 5_000;
+        assert!(matches!(
+            verify_design(&spec, design, &cfg),
+            Err(FlowError::InvalidConfig(_))
+        ));
+        cfg.verify_warmup = 500;
+        cfg.delivery_threshold = f64::NAN;
+        assert!(matches!(
+            verify_design(&spec, design, &cfg),
+            Err(FlowError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! | crate | role |
 //! |-------|------|
-//! | [`par`] (`noc-par`) | deterministic parallel runner (sweeps, synthesis fan-out) |
+//! | [`par`] (`noc-par`) | deterministic parallel runner (sweeps, synthesis fan-out, floorplan chains, flow verification) |
 //! | [`spec`] (`noc-spec`) | application & architecture model |
 //! | [`power`] (`noc-power`) | technology characterization (Fig. 2 models) |
 //! | [`topology`] (`noc-topology`) | graphs, generators, routing, deadlock |

@@ -1,13 +1,16 @@
 //! Deterministic parallel evaluation of independent work items.
 //!
-//! Three layers of the toolkit evaluate many independent points and
+//! Four layers of the toolkit evaluate many independent points and
 //! must produce **bit-identical results to a serial run**: the
 //! simulator's parameter sweeps (`noc_sim::sweep`), the SunFloor
 //! synthesis candidate fan-out (`noc_synth::sunfloor::synthesize`,
-//! which explores `(switch count, link width, clock)` triples), and the
+//! which explores `(switch count, link width, clock)` triples), the
 //! floorplanner's multi-chain annealing restarts
 //! (`noc_floorplan::slicing::SlicingFloorplanner::run_multi`, which
-//! picks the best of N independent chains by `(cost, chain index)`).
+//! picks the best of N independent chains by `(cost, chain index)`),
+//! and the design flow's verification of its Pareto designs
+//! (`noc::flow::run_flow`, which simulates every design with the
+//! flow's own traffic seed and ignores the per-point one).
 //! [`ParRunner`] is the shared executor all of them build on:
 //!
 //! - every point `i` derives its RNG seed as [`point_seed`]`(base, i)`
@@ -17,7 +20,10 @@
 //!   returned `Vec` is in point order regardless of which worker ran
 //!   which point;
 //! - any reduction the caller performs afterwards must itself be
-//!   order-insensitive or run over the point-ordered `Vec`.
+//!   order-insensitive or run over the point-ordered `Vec`;
+//! - a panicking point re-raises, with its own payload, the panic a
+//!   serial run would have raised first: that of the lowest-index
+//!   panicking point.
 //!
 //! The workers are `std::thread::scope` threads pulling point indices
 //! from a shared atomic counter (work-stealing by competitive
@@ -42,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -235,6 +242,12 @@ impl ParRunner {
     /// point `i` is [`point_seed`]`(base_seed, i)`; `eval` must derive
     /// all of its randomness from it (or use none at all) for the
     /// determinism contract to hold.
+    ///
+    /// # Panics
+    ///
+    /// When `eval` panics, `run` re-raises the panic of the
+    /// lowest-index panicking point with its own payload, as a serial
+    /// run would.
     pub fn run<P, R, F>(&self, base_seed: u64, points: &[P], eval: F) -> Vec<R>
     where
         P: Sync,
@@ -267,18 +280,38 @@ impl ParRunner {
             // contention — the mutex is the cheapest way to hand &mut
             // access to disjoint slots across threads in safe code.
             let slots: Vec<Mutex<&mut Option<R>>> = results.iter_mut().map(Mutex::new).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= points.len() {
-                            break;
-                        }
-                        let r = eval(&points[i], point_seed(base_seed, i as u64));
-                        **slots[i].lock().expect("slot mutex poisoned") = Some(r);
-                    });
-                }
+            let first_panic = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= points.len() {
+                                return None;
+                            }
+                            let seed = point_seed(base_seed, i as u64);
+                            match panic::catch_unwind(AssertUnwindSafe(|| eval(&points[i], seed))) {
+                                Ok(r) => **slots[i].lock().expect("slot mutex poisoned") = Some(r),
+                                Err(payload) => {
+                                    // Hand out no further points. Every
+                                    // lower index was handed out before
+                                    // `i`, so it still runs to completion.
+                                    next.fetch_max(points.len(), Ordering::Relaxed);
+                                    return Some((i, payload));
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .filter_map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+                    .min_by_key(|&(i, _)| i)
             });
+            // Re-raise the panic a serial run would have raised: that
+            // of the lowest-index panicking point, with its own payload.
+            if let Some((_, payload)) = first_panic {
+                panic::resume_unwind(payload);
+            }
         }
         results
             .into_iter()
@@ -357,6 +390,24 @@ mod tests {
         assert_eq!(budgeted, plain, "budget shapes threads, not results");
         assert!(budget.peak() >= 1 && budget.peak() <= 2);
         assert_eq!(budget.in_use(), 0);
+    }
+
+    #[test]
+    fn a_worker_panic_is_reraised_with_its_own_payload() {
+        let points: Vec<u32> = (0..32).collect();
+        for threads in [1, 2, 4] {
+            let payload = panic::catch_unwind(|| {
+                ParRunner::with_threads(threads).run(0, &points, |&p, _| {
+                    if p == 5 || p >= 20 {
+                        panic!("point {p} failed");
+                    }
+                    p
+                })
+            })
+            .expect_err("the run panics");
+            let msg = payload.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(msg, "point 5 failed", "threads = {threads}");
+        }
     }
 
     #[test]

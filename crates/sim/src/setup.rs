@@ -98,7 +98,8 @@ pub fn flow_sources(
 /// # Errors
 ///
 /// [`SimError::MissingNi`] for flows without NIs and
-/// [`SimError::SlotOverflow`] when an NI's GT demand exceeds the frame.
+/// [`SimError::SlotOverflow`] when an NI's GT demand exceeds the frame
+/// (always, for a GT flow, when `frame_len == 0`).
 pub fn gt_slot_tables(
     spec: &AppSpec,
     topo: &Topology,
@@ -116,7 +117,14 @@ pub fn gt_slot_tables(
             .ok_or(SimError::FlowTooFast { flow: id })?;
         // Fraction of injection-link cycles the flow needs (flits/cycle).
         let share = rate * pf as f64;
-        let slots = ((share * frame_len as f64).ceil() as usize + 1).min(frame_len);
+        let wanted = (share * frame_len as f64).ceil() as usize + 1;
+        if frame_len == 0 {
+            return Err(SimError::SlotOverflow {
+                requested: wanted,
+                available: 0,
+            });
+        }
+        let slots = wanted.min(frame_len);
         let table = tables
             .entry(src_ni)
             .or_insert_with(|| SlotTable::new(frame_len));
@@ -241,6 +249,10 @@ mod tests {
         assert!(matches!(
             gt_slot_tables(&spec, &topo, &cfg, 1),
             Err(SimError::SlotOverflow { .. })
+        ));
+        assert!(matches!(
+            gt_slot_tables(&spec, &topo, &cfg, 0),
+            Err(SimError::SlotOverflow { available: 0, .. })
         ));
     }
 }

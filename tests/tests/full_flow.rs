@@ -1,7 +1,7 @@
 //! End-to-end integration: spec → floorplan → synthesis → verification
 //! → RTL, on the paper-motivated application presets.
 
-use noc::flow::{run_flow, FlowConfig};
+use noc::flow::{run_flow, verify_design, FlowConfig};
 use noc::spec::presets;
 use noc::spec::units::Hertz;
 use noc::topology::deadlock::assert_deadlock_free;
@@ -121,4 +121,29 @@ fn generator_fabrics_compose_with_flow_traffic() {
     }
     sim.run(12_000);
     assert!(sim.stats().total_delivered_packets > 100);
+}
+
+/// `run_flow` verifies its designs on a `ParRunner`; each must get the
+/// `Verification` that a plain serial loop over the public
+/// `verify_design` computes, in the same (power) order. On a one-core
+/// machine the runner takes its serial path, so this passes trivially
+/// there.
+#[test]
+fn parallel_verification_equals_the_serial_oracle() {
+    for (spec, designs) in [
+        (presets::faust_telecom(), 5),
+        (presets::mobile_multimedia_soc(), 4),
+    ] {
+        let cfg = FlowConfig {
+            verify_cycles: 3_000,
+            verify_warmup: 500,
+            ..FlowConfig::default()
+        };
+        let outcome = run_flow(&spec, None, &cfg).expect("feasible");
+        assert_eq!(outcome.designs.len(), designs, "{}", spec.name());
+        for d in &outcome.designs {
+            let serial = verify_design(&spec, &d.design, &cfg).expect("verifiable");
+            assert_eq!(d.verification, Some(serial), "{}", spec.name());
+        }
+    }
 }
