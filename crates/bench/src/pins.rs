@@ -25,6 +25,9 @@
 //!   N of) of the mobile SoC's 26 blocks and of a 60-block synthetic
 //!   stress case;
 //! * `dse/specs_per_sec` — a cold serial DSE exploration, in µs per spec;
+//! * `dse/warm_replay_64` — `Store::open` of a 64-spec file store plus
+//!   the warm `explore` that replays it: the store-read side of the DSE
+//!   (checksum verification, index build, lookups), synthesis bypassed;
 //! * `flow/run_flow_mobile_soc` — one whole Fig. 6 flow (`run_flow`
 //!   with the default configuration) on the mobile SoC: floorplan,
 //!   synthesis and the parallel verification of its Pareto designs.
@@ -129,6 +132,10 @@ pub const PINS: &[Pin] = &[
         measure: dse_us_per_spec,
     },
     Pin {
+        name: "dse/warm_replay_64",
+        measure: dse_warm_replay_us,
+    },
+    Pin {
         name: "flow/run_flow_mobile_soc",
         measure: || {
             let spec = presets::mobile_multimedia_soc();
@@ -205,6 +212,33 @@ fn dse_us_per_spec() -> f64 {
         report.front.points().len()
     });
     per_run / SPECS as f64
+}
+
+/// `Store::open` of a 64-spec file store, filled once by a cold
+/// exploration, plus a warm `explore` replaying it. The checkpoint the
+/// cold run leaves is removed before every round: with it, `explore`
+/// would resume past the last shard and replay nothing.
+fn dse_warm_replay_us() -> f64 {
+    let dir = std::env::temp_dir().join(format!("noc_bench_warm_replay_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("store.dse");
+    let ckpt = dir.join("store.dse.ckpt");
+    let grid = default_grid();
+    let cfg = DseConfig {
+        specs: 64,
+        ..DseConfig::default()
+    };
+    explore(&cfg, &grid, &Store::open(&path).expect("open")).expect("cold explore");
+    let us = best_of_us(5, 1, || {
+        std::fs::remove_file(&ckpt).expect("explore writes a checkpoint");
+        let store = Store::open(&path).expect("reopen");
+        let report = explore(&cfg, &grid, &store).expect("warm explore");
+        assert_eq!(report.store_stats.misses, 0, "a warm replay only hits");
+        report.front.points().len()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    us
 }
 
 /// Deterministic synthetic floorplan stress case: `n` blocks with mixed
@@ -365,7 +399,7 @@ mod tests {
 
     #[test]
     fn real_baseline_parses_every_pin() {
-        assert_eq!(PINS.len(), 12);
+        assert_eq!(PINS.len(), 13);
         for pin in PINS {
             let (mean, tol) = baseline_for(BASELINE, pin.name).expect(pin.name);
             assert!(mean > 0.0 && tol > 0.0, "{}", pin.name);

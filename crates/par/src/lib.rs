@@ -1,6 +1,6 @@
 //! Deterministic parallel evaluation of independent work items.
 //!
-//! Four layers of the toolkit evaluate many independent points and
+//! Five layers of the toolkit evaluate many independent points and
 //! must produce **bit-identical results to a serial run**: the
 //! simulator's parameter sweeps (`noc_sim::sweep`), the SunFloor
 //! synthesis candidate fan-out (`noc_synth::sunfloor::synthesize`,
@@ -8,9 +8,11 @@
 //! floorplanner's multi-chain annealing restarts
 //! (`noc_floorplan::slicing::SlicingFloorplanner::run_multi`, which
 //! picks the best of N independent chains by `(cost, chain index)`),
-//! and the design flow's verification of its Pareto designs
+//! the design flow's verification of its Pareto designs
 //! (`noc::flow::run_flow`, which simulates every design with the
-//! flow's own traffic seed and ignores the per-point one).
+//! flow's own traffic seed and ignores the per-point one), and the DSE
+//! store's open (`noc_dse::Store::open`, which verifies the record
+//! checksums in chunks of 1024 records and also ignores the seed).
 //! [`ParRunner`] is the shared executor all of them build on:
 //!
 //! - every point `i` derives its RNG seed as [`point_seed`]`(base, i)`

@@ -1242,41 +1242,6 @@ impl Simulator {
         )
     }
 
-    /// Debug: the head flit of a link's per-VC buffer, described as
-    /// (flow, is_head, is_tail, hop, has_route). Test/diagnostic use.
-    #[doc(hidden)]
-    pub fn debug_buffer_head(
-        &self,
-        link: LinkId,
-        vc: usize,
-    ) -> Option<(Option<noc_spec::FlowId>, bool, bool, usize, bool)> {
-        self.bufs.front(link.0 * self.cfg.vcs + vc).map(|h| {
-            let f = self.pool.get(h);
-            (f.flow, f.is_head, f.is_tail, f.hop, f.route.is_some())
-        })
-    }
-
-    /// Debug: the owner map of a switch. Test/diagnostic use.
-    #[doc(hidden)]
-    pub fn debug_owners(&self, sw: NodeId) -> Vec<((LinkId, usize), (LinkId, usize))> {
-        let (start, end) = self.adj.outgoing(sw);
-        let mut owners: Vec<_> = self.adj.out_flat[start..end]
-            .iter()
-            .flat_map(|&out_l| {
-                (0..self.cfg.vcs).filter_map(move |vc| {
-                    let src = self.owner[out_l.0 * self.cfg.vcs + vc] as usize;
-                    (src != NO_PORT as usize).then(|| {
-                        let vcs = self.cfg.vcs;
-                        ((out_l, vc), (LinkId(src / vcs), src % vcs))
-                    })
-                })
-            })
-            .collect();
-        // Ascending (link, vc) key order, as the former BTreeMap yielded.
-        owners.sort_unstable_by_key(|&(k, _)| k);
-        owners
-    }
-
     /// Runs the simulation for `cycles` cycles (on the configured worker
     /// threads when sharded) and finalizes statistics.
     pub fn run(&mut self, cycles: u64) {

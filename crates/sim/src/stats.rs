@@ -94,11 +94,6 @@ impl RecoveryStats {
             .then(|| self.reroute_latency_total as f64 / self.reroutes_installed as f64)
     }
 
-    /// Mean failure-to-delivery-restored latency in cycles.
-    pub fn mean_restore_latency(&self) -> Option<f64> {
-        (self.restores > 0).then(|| self.restore_latency_total as f64 / self.restores as f64)
-    }
-
     /// Folds another run's recovery telemetry into this one: counters
     /// and latency sums add, maxima take the max.
     pub fn merge(&mut self, other: &RecoveryStats) {

@@ -431,12 +431,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds one corruption window, keeping the schedule sorted.
-    pub fn push_corruption(&mut self, event: CorruptionEvent) {
-        self.corruption.push(event);
-        self.canonicalize();
-    }
-
     /// The soft-error windows, sorted by start cycle.
     pub fn corruption(&self) -> &[CorruptionEvent] {
         &self.corruption

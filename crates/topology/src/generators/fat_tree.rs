@@ -102,14 +102,6 @@ pub fn fat_tree(arity: usize, cores: &[CoreId], leaf_width: u32) -> Result<FatTr
 }
 
 impl FatTree {
-    /// The leaf switch hosting a core.
-    pub fn leaf_of(&self, core: CoreId) -> Option<NodeId> {
-        self.cores
-            .iter()
-            .position(|&c| c == core)
-            .map(|i| self.leaves[i / self.arity])
-    }
-
     /// Path from a switch up to the root (inclusive).
     fn path_to_root(&self, mut node: NodeId) -> Vec<NodeId> {
         let mut out = vec![node];
