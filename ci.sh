@@ -83,6 +83,11 @@ tier1() {
   cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test engine_parity
   echo "==> tier-1: control-plane golden digests (release)"
   cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test control_plane_golden
+  # The floorplan annealer's parity proptests (incremental arena ==
+  # fresh arena == from-scratch evaluation after every move and undo)
+  # at 8x the default case count, in the release build users run.
+  echo "==> tier-1: floorplan annealer parity (release)"
+  PROPTEST_CASES=512 cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-floorplan
 }
 
 smoke() {

@@ -36,7 +36,7 @@ pub fn spec_annealer(spec: &AppSpec) -> SlicingFloorplanner {
             weight: bw.raw() as f64 / total_bw,
         })
         .collect();
-    SlicingFloorplanner::new(blocks, nets).with_config(AnnealConfig::default())
+    SlicingFloorplanner::new(blocks, nets)
 }
 
 /// An annealing schedule sized to the problem instead of the fixed
@@ -90,6 +90,7 @@ impl CoreFloorplan {
     pub fn from_spec_chains_sized(spec: &AppSpec, seed: u64, chains: usize) -> CoreFloorplan {
         let result = spec_annealer(spec)
             .with_config(sized_anneal_config(spec.cores().len()))
+            .expect("the sized schedule cools in (0, 1) between positive temperatures")
             .run_multi(seed, chains);
         let placements = result
             .placements

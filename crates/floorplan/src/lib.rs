@@ -44,4 +44,6 @@ pub mod slicing;
 pub use crate::block::{Block, Rect};
 pub use crate::core_plan::{sized_anneal_config, CoreFloorplan};
 pub use crate::incremental::{insert_noc, NocPlacement};
-pub use crate::slicing::{AnnealConfig, AnnealStats, Net, SlicingFloorplanner, SlicingResult};
+pub use crate::slicing::{
+    AnnealConfig, AnnealConfigError, AnnealStats, Net, SlicingFloorplanner, SlicingResult,
+};

@@ -9,31 +9,38 @@
 //!
 //! ## Incremental evaluation
 //!
-//! The annealer's hot path is [`PlanArena`], a flat arena mirror of the
+//! The annealer's hot path is `PlanArena`, a flat arena mirror of the
 //! slicing tree: node `i` of the arena *is* position `i` of the Polish
 //! expression (children always precede parents in postfix order), and
-//! per-node `(w, h)` dimensions live in plain `f64` arrays. A move
-//! touches only what it must:
+//! per-node `(w, h)` dimensions live in plain `f64` arrays. Every move
+//! is `O(depth)` and touches only what it must:
 //!
 //! * **M1** (swap adjacent operands), **M2** (complement an operator
 //!   chain) and **rotation** update the affected leaves/operators and
-//!   re-propagate dimensions along the path(s) to the root — `O(depth)`
-//!   with early exit when a node's dimensions come out unchanged;
-//! * **M3** (swap an adjacent operand/operator pair) changes the tree
-//!   *structure*, so the arena is rebuilt in one allocation-free
-//!   `O(n)` stack pass — still far below the old per-move cost of
-//!   cloning the expression, re-boxing the tree and cloning every
-//!   `Block` (`String` names included).
+//!   re-propagate dimensions along the path(s) to the root, with early
+//!   exit when a node's dimensions come out unchanged;
+//! * **M3** (swap operand `a` at `i` with operator `o` at `i + 1`, or
+//!   the reverse) changes the tree *structure*, but only around the
+//!   pair: `o`'s new children are `(Y, i − 1)`, where `Y` is the left
+//!   sibling of the lowest ancestor-or-self of `o` that is a right
+//!   child; `Y`'s old parent takes `o` in `Y`'s slot; `a` becomes a
+//!   leaf in `o`'s old slot, whose parent keeps it. The reverse swap is
+//!   the exact inverse. M3 invalidates the dimensions of `i`, `i + 1`
+//!   and the paths above them to the root; the two position-list
+//!   entries it moves are found in `O(1)` from the prefix balance.
 //!
 //! Every dimension overwrite is recorded in an undo log, so a rejected
-//! move rolls back *exactly* (bit-for-bit) without cloning any state.
-//! Placements — needed only for the wirelength term — are refreshed by
-//! a single linear pass over the arena when the cost asks for them.
-//! The contract (what each move invalidates, rollback rules) is
-//! documented in DESIGN.md and pinned by the parity proptests in
-//! `crates/floorplan/tests/incremental_slicing.rs`, which assert that
-//! incremental state equals a from-scratch [`reference_evaluate`] after
-//! every applied or rolled-back move.
+//! move rolls back *exactly* (bit-for-bit) without cloning any state;
+//! M3 rolls back by the inverse relink and the same log. The full
+//! rebuild runs only at construction. Placements — needed only for the
+//! wirelength term — are refreshed by one pass over the operators when
+//! the cost asks for them, and block centres are computed once per
+//! evaluation for the net loop. The contract (what each move
+//! invalidates, rollback rules) is documented in DESIGN.md and pinned
+//! by this module's parity proptests, which assert after every applied
+//! or rolled-back move that the arena's links, indices and dimensions
+//! equal a fresh arena's, and that its placements and cost equal a
+//! from-scratch recursive evaluation.
 //!
 //! ## Multi-chain annealing
 //!
@@ -50,14 +57,12 @@ use noc_spec::units::Micrometers;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::error::Error;
+use std::fmt;
 
 /// One element of a Polish expression.
-///
-/// Public (but hidden) so the cross-file parity proptests can drive
-/// [`PlanArena`] and [`reference_evaluate`] over the same state.
-#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Element {
+enum Element {
     /// Leaf: index into the block list.
     Operand(usize),
     /// Horizontal cut: stack top is placed *above* the one below.
@@ -120,6 +125,63 @@ impl Default for AnnealConfig {
         }
     }
 }
+
+impl AnnealConfig {
+    /// Checks that the schedule ends: `cooling` in `(0, 1)` and both
+    /// temperatures finite and positive. Anything else would keep the
+    /// annealer's `temperature > final_temperature` loop running forever.
+    fn validate(&self) -> Result<(), AnnealConfigError> {
+        if !(self.cooling > 0.0 && self.cooling < 1.0) {
+            return Err(AnnealConfigError::Cooling(self.cooling));
+        }
+        let usable = |t: f64| t.is_finite() && t > 0.0;
+        if !usable(self.initial_temperature) {
+            return Err(AnnealConfigError::InitialTemperature(
+                self.initial_temperature,
+            ));
+        }
+        if !usable(self.final_temperature) {
+            return Err(AnnealConfigError::FinalTemperature(self.final_temperature));
+        }
+        Ok(())
+    }
+}
+
+/// Why [`SlicingFloorplanner::with_config`] rejected an
+/// [`AnnealConfig`]: its cooling schedule could never end.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AnnealConfigError {
+    /// `cooling` is not in the open interval `(0, 1)`.
+    Cooling(f64),
+    /// `initial_temperature` is not finite and positive.
+    InitialTemperature(f64),
+    /// `final_temperature` is not finite and positive.
+    FinalTemperature(f64),
+}
+
+impl fmt::Display for AnnealConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AnnealConfigError::Cooling(c) => {
+                write!(f, "annealing cooling factor {c} is not in (0, 1)")
+            }
+            AnnealConfigError::InitialTemperature(t) => {
+                write!(
+                    f,
+                    "initial annealing temperature {t} is not finite and positive"
+                )
+            }
+            AnnealConfigError::FinalTemperature(t) => {
+                write!(
+                    f,
+                    "final annealing temperature {t} is not finite and positive"
+                )
+            }
+        }
+    }
+}
+
+impl Error for AnnealConfigError {}
 
 /// Counters of one annealing run ([`SlicingFloorplanner::run_with_stats`]).
 ///
@@ -187,16 +249,15 @@ impl SlicingResult {
 /// evaluation: the area normalizer and the combined wirelength scale
 /// (`wirelength_weight / (√area · Σ net weight)`), so one candidate
 /// costs one multiply-add past the raw area/wirelength numbers.
-#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-pub struct CostParams {
+struct CostParams {
     inv_area_norm: f64,
     wl_factor: f64,
 }
 
 impl CostParams {
     /// Derives the constants for a block/net/config triple.
-    pub fn new(blocks: &[Block], nets: &[Net], config: &AnnealConfig) -> CostParams {
+    fn new(blocks: &[Block], nets: &[Net], config: &AnnealConfig) -> CostParams {
         let total_area: f64 = blocks.iter().map(|b| b.area().raw()).sum();
         let wl_norm = total_area.sqrt().max(1.0);
         let wl_factor = if nets.is_empty() || config.wirelength_weight == 0.0 {
@@ -212,12 +273,12 @@ impl CostParams {
     }
 
     /// Whether the cost needs placements (a wirelength term exists).
-    pub fn needs_wirelength(&self) -> bool {
+    fn needs_wirelength(&self) -> bool {
         self.wl_factor != 0.0
     }
 
     /// Cost of a `(chip area, weighted wirelength)` pair.
-    pub fn cost_of(&self, chip_area: f64, wirelength: f64) -> f64 {
+    fn cost_of(&self, chip_area: f64, wirelength: f64) -> f64 {
         let area_cost = chip_area * self.inv_area_norm;
         if self.wl_factor == 0.0 {
             area_cost
@@ -227,11 +288,10 @@ impl CostParams {
     }
 }
 
-/// Undo token of one [`PlanArena::random_move`]; hand it back to
-/// [`PlanArena::undo`] to roll the move back exactly.
-#[doc(hidden)]
+/// Undo token of one `PlanArena::random_move`; hand it back to
+/// `PlanArena::undo` to roll the move back exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MoveUndo {
+enum MoveUndo {
     /// Degenerate draw — nothing changed, nothing to undo.
     None,
     /// M1: operands at positions `p` and `q` were swapped.
@@ -270,17 +330,17 @@ const NO_NODE: u32 = u32::MAX;
 /// (possibly rotated) dimensions, operators the combined dimensions of
 /// their children. Invariants maintained across moves:
 ///
-/// * `w[i]`/`h[i]` equal a from-scratch evaluation of the subtree at
-///   `i` (bit-for-bit — pinned by the parity proptests);
+/// * links, indices and `w[i]`/`h[i]` equal those of a fresh arena
+///   built from the same `(expr, rotated)` state (bit-for-bit — pinned
+///   by the parity proptests);
 /// * `leaf_of_block[b]` is the position of block `b`'s leaf;
 /// * `operand_pos`/`operator_pos` list operand/operator positions in
 ///   ascending order (for allocation-free random move selection);
 /// * `balance[i]` is `#operands − #operators` over `expr[0..=i]`
 ///   (≥ 1 everywhere — the balloting property), giving `O(1)` M3
-///   validity checks.
-#[doc(hidden)]
+///   validity checks and `O(1)` position-list indices.
 #[derive(Debug, Clone)]
-pub struct PlanArena {
+struct PlanArena {
     n: usize,
     /// Unrotated block widths/heights.
     bw: Vec<f64>,
@@ -296,11 +356,12 @@ pub struct PlanArena {
     operand_pos: Vec<u32>,
     operator_pos: Vec<u32>,
     balance: Vec<u32>,
-    /// Placement scratch (valid after `refresh_placements`).
+    /// Node origins (valid after `refresh_placements`).
     x: Vec<f64>,
     y: Vec<f64>,
-    /// Build-stack scratch for `rebuild`.
-    stack: Vec<u32>,
+    /// Block centres, per block (valid after `refresh_centres`).
+    cx: Vec<f64>,
+    cy: Vec<f64>,
     /// Dimension overwrites of the move in flight: `(pos, old_w, old_h)`.
     undo_dims: Vec<(u32, f64, f64)>,
 }
@@ -312,7 +373,7 @@ impl PlanArena {
     /// # Panics
     ///
     /// Panics if `blocks` is empty.
-    pub fn new_initial(blocks: &[Block]) -> PlanArena {
+    fn new_initial(blocks: &[Block]) -> PlanArena {
         PlanArena::from_state(
             blocks,
             &initial_expr(blocks.len()),
@@ -326,7 +387,7 @@ impl PlanArena {
     ///
     /// Panics if `blocks` is empty, `rotated.len() != blocks.len()`, or
     /// `expr` is not a valid Polish expression over the blocks.
-    pub fn from_state(blocks: &[Block], expr: &[Element], rotated: &[bool]) -> PlanArena {
+    fn from_state(blocks: &[Block], expr: &[Element], rotated: &[bool]) -> PlanArena {
         let n = blocks.len();
         assert!(n > 0, "cannot build a plan over zero blocks");
         assert_eq!(rotated.len(), n, "one rotation flag per block");
@@ -365,7 +426,8 @@ impl PlanArena {
             balance,
             x: vec![0.0; len],
             y: vec![0.0; len],
-            stack: Vec::with_capacity(n),
+            cx: vec![0.0; n],
+            cy: vec![0.0; n],
             undo_dims: Vec::with_capacity(len),
         };
         arena.rebuild();
@@ -373,17 +435,17 @@ impl PlanArena {
     }
 
     /// The current Polish expression.
-    pub fn expr(&self) -> &[Element] {
+    fn expr(&self) -> &[Element] {
         &self.expr
     }
 
     /// The current rotation flags, one per block.
-    pub fn rotated(&self) -> &[bool] {
+    fn rotated(&self) -> &[bool] {
         &self.rotated
     }
 
     /// Chip `(width, height)` — the root node's dimensions.
-    pub fn chip_dims(&self) -> (f64, f64) {
+    fn chip_dims(&self) -> (f64, f64) {
         let root = self.expr.len() - 1;
         (self.w[root], self.h[root])
     }
@@ -433,28 +495,24 @@ impl PlanArena {
         }
     }
 
-    /// Rebuilds tree links, dimensions and position indices from the
-    /// expression in one allocation-free stack pass (`rebuild` reuses
-    /// every buffer). Used at construction and around M3 moves.
+    /// Builds tree links, dimensions and position indices from the
+    /// expression in one stack pass. Runs only at construction: every
+    /// move keeps them current incrementally.
     fn rebuild(&mut self) {
-        self.stack.clear();
-        self.operand_pos.clear();
-        self.operator_pos.clear();
+        let mut stack: Vec<u32> = Vec::with_capacity(self.n);
         for pos in 0..self.expr.len() {
             match self.expr[pos] {
                 Element::Operand(b) => {
-                    self.left[pos] = NO_NODE;
-                    self.right[pos] = NO_NODE;
                     let (w, h) = self.eff_dims(b);
                     self.w[pos] = w;
                     self.h[pos] = h;
                     self.leaf_of_block[b] = pos as u32;
                     self.operand_pos.push(pos as u32);
-                    self.stack.push(pos as u32);
+                    stack.push(pos as u32);
                 }
                 _ => {
-                    let r = self.stack.pop().expect("valid polish expression");
-                    let l = self.stack.pop().expect("valid polish expression");
+                    let r = stack.pop().expect("valid polish expression");
+                    let l = stack.pop().expect("valid polish expression");
                     self.left[pos] = l;
                     self.right[pos] = r;
                     self.parent[l as usize] = pos as u32;
@@ -463,12 +521,12 @@ impl PlanArena {
                     self.w[pos] = w;
                     self.h[pos] = h;
                     self.operator_pos.push(pos as u32);
-                    self.stack.push(pos as u32);
+                    stack.push(pos as u32);
                 }
             }
         }
-        let root = self.stack.pop().expect("valid polish expression");
-        debug_assert!(self.stack.is_empty(), "expression leaves one root");
+        let root = stack.pop().expect("valid polish expression");
+        debug_assert!(stack.is_empty(), "expression leaves one root");
         self.parent[root as usize] = NO_NODE;
     }
 
@@ -476,7 +534,7 @@ impl PlanArena {
     /// (1 in 4 draws) and returns its undo token. [`MoveUndo::None`]
     /// means the draw was degenerate (no valid M3 swap exists) and the
     /// plan is untouched — the caller should skip evaluation.
-    pub fn random_move(&mut self, rng: &mut StdRng) -> MoveUndo {
+    fn random_move(&mut self, rng: &mut StdRng) -> MoveUndo {
         self.undo_dims.clear();
         if self.n < 2 {
             return MoveUndo::None;
@@ -547,6 +605,10 @@ impl PlanArena {
     /// order) needs a prefix balance ≥ 2 before the pair; moving it
     /// later is always safe. Returns [`MoveUndo::None`] when no valid
     /// pair is drawn (e.g. with two blocks no valid M3 exists at all).
+    ///
+    /// The swap relinks only the nodes around the pair
+    /// (`relink_adjacent`); then `i` and `i + 1` get fresh dimensions
+    /// and both changed paths propagate to the root.
     fn move_swap_adjacent(&mut self, rng: &mut StdRng) -> MoveUndo {
         for _attempt in 0..32 {
             let i = rng.gen_range(0..self.expr.len() - 1);
@@ -560,12 +622,104 @@ impl PlanArena {
                     continue;
                 }
             }
-            self.expr.swap(i, i + 1);
-            self.update_balance_at(i);
-            self.rebuild();
+            let new_left = self.relink_adjacent(i);
+            // `i` first: when it is the new leaf, it is a child of `i + 1`.
+            for pos in [i, i + 1] {
+                let (w, h) = match self.expr[pos] {
+                    Element::Operand(b) => self.eff_dims(b),
+                    _ => self.combined(pos),
+                };
+                self.set_dims_logged(pos, w, h);
+            }
+            self.propagate_up(i + 1);
+            self.propagate_up(new_left);
             return MoveUndo::SwapAdjacent { i: i as u32 };
         }
         MoveUndo::None
+    }
+
+    /// Swaps `expr[i]` and `expr[i + 1]` (an operand/operator pair) and
+    /// relinks the tree around them in `O(depth)`: links, `balance[i]`,
+    /// the moved leaf's `leaf_of_block` entry and the two position-list
+    /// entries. Dimensions are left to the caller. Returns the new left
+    /// child of `Q`, the one node outside the pair whose child changes,
+    /// so `propagate_up` from it recombines `Q` and up.
+    ///
+    /// Operand `a` at `i`, operator `o` at `i + 1` (the operator moves
+    /// earlier): before, `o = (i − 1, a)`; after, `o` at `i` has
+    /// children `(Y, i − 1)`, where `Y` is the left sibling of `A`, the
+    /// lowest ancestor-or-self of `i + 1` that is a right child. `Y`'s
+    /// parent `Q` (= `A`'s parent) takes `o` in `Y`'s slot, and `a`
+    /// becomes a leaf at `i + 1`, which keeps `i + 1`'s parent. The
+    /// operator-first case is the exact inverse, so applying the relink
+    /// twice at the same `i` restores every link.
+    fn relink_adjacent(&mut self, i: usize) -> usize {
+        let j = i + 1;
+        // Operands/operators in `expr[0..i]`, from the prefix balance
+        // (unchanged by the swap): the list indices of the moved pair.
+        let before = if i == 0 {
+            0
+        } else {
+            self.balance[i - 1] as usize
+        };
+        let operand_k = (i + before) / 2;
+        let operator_k = (i - before) / 2;
+        self.expr.swap(i, j);
+        self.update_balance_at(i);
+        match self.expr[j] {
+            Element::Operand(a) => {
+                // Operator moved to `i`, leaf `a` to `j`.
+                let x = i - 1;
+                let mut c = j;
+                let q = loop {
+                    let p = self.parent[c] as usize;
+                    debug_assert_ne!(p as u32, NO_NODE, "a right-child ancestor exists");
+                    if self.right[p] as usize == c {
+                        break p;
+                    }
+                    c = p;
+                };
+                let y = self.left[q] as usize;
+                self.left[i] = y as u32;
+                self.right[i] = x as u32;
+                self.parent[y] = i as u32;
+                self.parent[x] = i as u32;
+                self.parent[i] = q as u32;
+                self.left[q] = i as u32;
+                self.left[j] = NO_NODE;
+                self.right[j] = NO_NODE;
+                self.leaf_of_block[a] = j as u32;
+                self.operand_pos[operand_k] = j as u32;
+                self.operator_pos[operator_k] = i as u32;
+                i
+            }
+            _ => {
+                // Leaf moved to `i`, operator to `j`; `i` was the left
+                // child of `q`.
+                let Element::Operand(a) = self.expr[i] else {
+                    unreachable!("M3 swaps an operand/operator pair")
+                };
+                let q = self.parent[i] as usize;
+                let y = self.left[i] as usize;
+                let x = self.right[i] as usize;
+                debug_assert_eq!(
+                    self.left[q] as usize, i,
+                    "operator before a leaf is a left child"
+                );
+                self.left[q] = y as u32;
+                self.parent[y] = q as u32;
+                self.left[j] = x as u32;
+                self.right[j] = i as u32;
+                self.parent[x] = j as u32;
+                self.parent[i] = j as u32;
+                self.left[i] = NO_NODE;
+                self.right[i] = NO_NODE;
+                self.leaf_of_block[a] = i as u32;
+                self.operand_pos[operand_k] = i as u32;
+                self.operator_pos[operator_k] = j as u32;
+                y
+            }
+        }
     }
 
     /// Rotation (the classical M4): transposes one block's dimensions.
@@ -592,10 +746,9 @@ impl PlanArena {
     }
 
     /// Rolls back the move that produced `mv`, restoring every
-    /// dimension bit-for-bit from the undo log (M3 rolls back by
-    /// swapping the expression back and re-running the same
-    /// allocation-free rebuild that applied it).
-    pub fn undo(&mut self, mv: MoveUndo) {
+    /// dimension bit-for-bit from the undo log (M3 rolls back by the
+    /// inverse relink, which is the same relink applied again).
+    fn undo(&mut self, mv: MoveUndo) {
         match mv {
             MoveUndo::None => {}
             MoveUndo::SwapOperands { p, q } => {
@@ -616,10 +769,8 @@ impl PlanArena {
                 self.restore_dims();
             }
             MoveUndo::SwapAdjacent { i } => {
-                let i = i as usize;
-                self.expr.swap(i, i + 1);
-                self.update_balance_at(i);
-                self.rebuild();
+                self.relink_adjacent(i as usize);
+                self.restore_dims();
             }
             MoveUndo::Rotate { block } => {
                 self.rotated[block] = !self.rotated[block];
@@ -636,47 +787,47 @@ impl PlanArena {
         }
     }
 
-    /// Refreshes node origins top-down in one linear pass: children
-    /// always precede parents in postfix order, so a descending
-    /// position scan visits every parent before its children.
+    /// Refreshes node origins top-down: children always precede parents
+    /// in postfix order, so walking the operators in descending position
+    /// visits every parent before its children. The right child's
+    /// origin is a select between the two cut offsets, not a branch.
     fn refresh_placements(&mut self) {
-        let len = self.expr.len();
-        let root = len - 1;
+        let root = self.expr.len() - 1;
         self.x[root] = 0.0;
         self.y[root] = 0.0;
-        for pos in (0..len).rev() {
-            if !self.expr[pos].is_operator() {
-                continue;
-            }
+        for &p in self.operator_pos.iter().rev() {
+            let pos = p as usize;
             let l = self.left[pos] as usize;
             let r = self.right[pos] as usize;
-            self.x[l] = self.x[pos];
-            self.y[l] = self.y[pos];
-            match self.expr[pos] {
-                Element::V => {
-                    self.x[r] = self.x[pos] + self.w[l];
-                    self.y[r] = self.y[pos];
-                }
-                _ => {
-                    self.x[r] = self.x[pos];
-                    self.y[r] = self.y[pos] + self.h[l];
-                }
-            }
+            let (x, y) = (self.x[pos], self.y[pos]);
+            let vertical = self.expr[pos] == Element::V;
+            let beside = x + self.w[l];
+            let above = y + self.h[l];
+            self.x[l] = x;
+            self.y[l] = y;
+            self.x[r] = if vertical { beside } else { x };
+            self.y[r] = if vertical { y } else { above };
         }
     }
 
-    /// Weighted wirelength over fresh placements (same arithmetic as
+    /// Per-block centres from fresh placements, so the net loop reads
+    /// two flat arrays instead of looking up each net's leaves.
+    fn refresh_centres(&mut self) {
+        for b in 0..self.n {
+            let p = self.leaf_of_block[b] as usize;
+            self.cx[b] = self.x[p] + self.w[p] / 2.0;
+            self.cy[b] = self.y[p] + self.h[p] / 2.0;
+        }
+    }
+
+    /// Weighted wirelength over fresh centres (same arithmetic as
     /// [`SlicingResult::wirelength`], term for term).
     fn wirelength(&self, nets: &[Net]) -> f64 {
         let mut acc = 0.0;
         for net in nets {
-            let pa = self.leaf_of_block[net.a] as usize;
-            let pb = self.leaf_of_block[net.b] as usize;
-            let ax = self.x[pa] + self.w[pa] / 2.0;
-            let ay = self.y[pa] + self.h[pa] / 2.0;
-            let bx = self.x[pb] + self.w[pb] / 2.0;
-            let by = self.y[pb] + self.h[pb] / 2.0;
-            acc += ((ax - bx).abs() + (ay - by).abs()) * net.weight;
+            let dx = (self.cx[net.a] - self.cx[net.b]).abs();
+            let dy = (self.cy[net.a] - self.cy[net.b]).abs();
+            acc += (dx + dy) * net.weight;
         }
         acc
     }
@@ -684,18 +835,19 @@ impl PlanArena {
     /// Cost of the current plan. Placements are refreshed only when the
     /// cost actually has a wirelength term; area-only runs never touch
     /// them.
-    pub fn cost(&mut self, nets: &[Net], params: &CostParams) -> f64 {
+    fn cost(&mut self, nets: &[Net], params: &CostParams) -> f64 {
         let (w, h) = self.chip_dims();
         let area = w * h;
         if !params.needs_wirelength() {
             return params.cost_of(area, 0.0);
         }
         self.refresh_placements();
+        self.refresh_centres();
         params.cost_of(area, self.wirelength(nets))
     }
 
     /// Block placements in block order (refreshes coordinates first).
-    pub fn placements(&mut self) -> Vec<Rect> {
+    fn placements(&mut self) -> Vec<Rect> {
         self.refresh_placements();
         (0..self.n)
             .map(|b| {
@@ -725,11 +877,10 @@ fn initial_expr(n: usize) -> Vec<Element> {
 }
 
 /// From-scratch reference evaluation of `(expr, rotated)` — the
-/// independent recursive implementation the incremental [`PlanArena`]
-/// is pinned against (parity proptests), and the final realization of
-/// [`SlicingFloorplanner::run`]'s best state. `cost` is left 0.
-#[doc(hidden)]
-pub fn reference_evaluate(blocks: &[Block], expr: &[Element], rotated: &[bool]) -> SlicingResult {
+/// independent recursive implementation the incremental `PlanArena` is
+/// pinned against by the parity proptests. `cost` is left 0.
+#[cfg(test)]
+fn reference_evaluate(blocks: &[Block], expr: &[Element], rotated: &[bool]) -> SlicingResult {
     enum Tree {
         Leaf(usize),
         Node(Element, Box<Tree>, Box<Tree>),
@@ -846,9 +997,18 @@ impl SlicingFloorplanner {
     }
 
     /// Overrides the annealing configuration.
-    pub fn with_config(mut self, config: AnnealConfig) -> SlicingFloorplanner {
+    ///
+    /// # Errors
+    ///
+    /// [`AnnealConfigError`] when the schedule could never end: `cooling`
+    /// outside `(0, 1)`, or a temperature that is not finite and positive.
+    pub fn with_config(
+        mut self,
+        config: AnnealConfig,
+    ) -> Result<SlicingFloorplanner, AnnealConfigError> {
+        config.validate()?;
         self.config = config;
-        self
+        Ok(self)
     }
 
     /// Runs the annealer with the given seed and returns the best
@@ -920,11 +1080,14 @@ impl SlicingFloorplanner {
             }
             temperature *= self.config.cooling;
         }
-        let result = reference_evaluate(&self.blocks, &best_expr, &best_rotated);
+        let mut best = PlanArena::from_state(&self.blocks, &best_expr, &best_rotated);
+        let (chip_width, chip_height) = best.chip_dims();
         (
             SlicingResult {
+                placements: best.placements(),
+                chip_width: Micrometers(chip_width),
+                chip_height: Micrometers(chip_height),
                 cost: best_cost,
-                ..result
             },
             stats,
         )
@@ -966,11 +1129,233 @@ impl SlicingFloorplanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn uniform_blocks(n: usize, w: f64, h: f64) -> Vec<Block> {
         (0..n)
             .map(|i| Block::new(format!("b{i}"), Micrometers(w), Micrometers(h)))
             .collect()
+    }
+
+    fn blocks_from(dims: &[(u32, u32)]) -> Vec<Block> {
+        dims.iter()
+            .enumerate()
+            .map(|(i, &(w, h))| {
+                Block::new(
+                    format!("b{i}"),
+                    Micrometers(w as f64),
+                    Micrometers(h as f64),
+                )
+            })
+            .collect()
+    }
+
+    fn nets_from(raw: &[(u32, u32, u32)], n: usize) -> Vec<Net> {
+        raw.iter()
+            .map(|&(a, b, w)| Net {
+                a: a as usize % n,
+                b: b as usize % n,
+                weight: w as f64 / 10.0,
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts that the arena's incrementally maintained structure —
+    /// links, `leaf_of_block`, both position lists, `balance` and every
+    /// node's dimensions — equals a fresh arena's built from the same
+    /// `(expression, rotations)` state.
+    fn assert_matches_fresh(
+        arena: &PlanArena,
+        blocks: &[Block],
+        step: usize,
+    ) -> Result<(), TestCaseError> {
+        let fresh = PlanArena::from_state(blocks, arena.expr(), arena.rotated());
+        prop_assert_eq!(&arena.left, &fresh.left, "left links at step {}", step);
+        prop_assert_eq!(&arena.right, &fresh.right, "right links at step {}", step);
+        prop_assert_eq!(
+            &arena.parent,
+            &fresh.parent,
+            "parent links at step {}",
+            step
+        );
+        prop_assert_eq!(
+            &arena.leaf_of_block,
+            &fresh.leaf_of_block,
+            "leaf_of_block at step {}",
+            step
+        );
+        prop_assert_eq!(
+            &arena.operand_pos,
+            &fresh.operand_pos,
+            "operand_pos at step {}",
+            step
+        );
+        prop_assert_eq!(
+            &arena.operator_pos,
+            &fresh.operator_pos,
+            "operator_pos at step {}",
+            step
+        );
+        prop_assert_eq!(&arena.balance, &fresh.balance, "balance at step {}", step);
+        prop_assert_eq!(bits(&arena.w), bits(&fresh.w), "widths at step {}", step);
+        prop_assert_eq!(bits(&arena.h), bits(&fresh.h), "heights at step {}", step);
+        Ok(())
+    }
+
+    /// Asserts full incremental-vs-reference parity for the arena's
+    /// current state: chip dimensions, all block placements and the
+    /// cost equal a from-scratch recursive evaluation.
+    fn assert_parity(
+        arena: &mut PlanArena,
+        blocks: &[Block],
+        nets: &[Net],
+        params: &CostParams,
+        step: usize,
+    ) -> Result<(), TestCaseError> {
+        let reference = reference_evaluate(blocks, arena.expr(), arena.rotated());
+        let (w, h) = arena.chip_dims();
+        prop_assert_eq!(w, reference.chip_width.raw(), "chip width at step {}", step);
+        prop_assert_eq!(
+            h,
+            reference.chip_height.raw(),
+            "chip height at step {}",
+            step
+        );
+        let placements = arena.placements();
+        prop_assert_eq!(
+            &placements,
+            &reference.placements,
+            "placements at step {}",
+            step
+        );
+        let incremental_cost = arena.cost(nets, params);
+        let reference_cost = params.cost_of(
+            reference.chip_area().raw(),
+            reference.wirelength(nets).raw(),
+        );
+        prop_assert_eq!(incremental_cost, reference_cost, "cost at step {}", step);
+        Ok(())
+    }
+
+    // Case counts follow `PROPTEST_CASES` (64 by default), so CI can run
+    // the release build's parity at a higher count.
+    proptest! {
+        /// Random move sequences with random rejections: after every
+        /// apply and every undo, the incremental structure equals a
+        /// fresh arena's and the evaluation equals a from-scratch one.
+        /// Up to 63 blocks, so the alternating-cut seed's deep left
+        /// spine exercises the M3 relink's ancestor walk.
+        #[test]
+        fn incremental_matches_from_scratch(
+            dims in prop::collection::vec((20u32..400, 20u32..400), 2..64),
+            raw_nets in prop::collection::vec((0u32..64, 0u32..64, 1u32..40), 0..16),
+            seed in any::<u64>(),
+            reject_bits in any::<u64>(),
+            steps in 10usize..120,
+        ) {
+            let blocks = blocks_from(&dims);
+            let nets = nets_from(&raw_nets, blocks.len());
+            let params = CostParams::new(&blocks, &nets, &AnnealConfig::default());
+            let mut arena = PlanArena::new_initial(&blocks);
+            let mut rng = StdRng::seed_from_u64(seed);
+            assert_matches_fresh(&arena, &blocks, 0)?;
+            assert_parity(&mut arena, &blocks, &nets, &params, 0)?;
+            for step in 1..=steps {
+                let mv = arena.random_move(&mut rng);
+                assert_matches_fresh(&arena, &blocks, step)?;
+                if (reject_bits >> (step % 64)) & 1 == 1 {
+                    arena.undo(mv);
+                    assert_matches_fresh(&arena, &blocks, step)?;
+                }
+                assert_parity(&mut arena, &blocks, &nets, &params, step)?;
+            }
+        }
+
+        /// A rejected (undone) move must restore the *exact* prior state:
+        /// expression, rotations, dimensions, placements and cost.
+        #[test]
+        fn undo_is_exact(
+            dims in prop::collection::vec((20u32..400, 20u32..400), 2..64),
+            seed in any::<u64>(),
+            steps in 1usize..80,
+        ) {
+            let blocks = blocks_from(&dims);
+            let nets: Vec<Net> = Vec::new();
+            let params = CostParams::new(&blocks, &nets, &AnnealConfig::default());
+            let mut arena = PlanArena::new_initial(&blocks);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..steps {
+                // Drift to a random state first, then snapshot/undo-check.
+                let warm = arena.random_move(&mut rng);
+                prop_assert!(warm == MoveUndo::None || !arena.expr().is_empty());
+                let expr_before = arena.expr().to_vec();
+                let rot_before = arena.rotated().to_vec();
+                let dims_before = arena.chip_dims();
+                let cost_before = arena.cost(&nets, &params);
+                let mv = arena.random_move(&mut rng);
+                arena.undo(mv);
+                prop_assert_eq!(arena.expr(), &expr_before[..], "expr at step {}", step);
+                prop_assert_eq!(arena.rotated(), &rot_before[..], "rotations at step {}", step);
+                let (w, h) = arena.chip_dims();
+                prop_assert_eq!((w, h), dims_before, "chip dims at step {}", step);
+                prop_assert_eq!(arena.cost(&nets, &params), cost_before, "cost at step {}", step);
+            }
+        }
+    }
+
+    #[test]
+    fn with_config_rejects_a_cooling_outside_zero_one() {
+        for cooling in [1.0, 1.5, 0.0, -0.5, f64::NAN] {
+            let config = AnnealConfig {
+                cooling,
+                ..AnnealConfig::default()
+            };
+            let err = SlicingFloorplanner::new(uniform_blocks(3, 10.0, 10.0), vec![])
+                .with_config(config)
+                .expect_err("a schedule that never cools must be rejected");
+            assert!(
+                matches!(err, AnnealConfigError::Cooling(c) if c.to_bits() == cooling.to_bits()),
+                "cooling {cooling}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn with_config_rejects_an_unusable_initial_temperature() {
+        for t in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let config = AnnealConfig {
+                initial_temperature: t,
+                ..AnnealConfig::default()
+            };
+            let err = SlicingFloorplanner::new(uniform_blocks(3, 10.0, 10.0), vec![])
+                .with_config(config)
+                .expect_err("an unusable start temperature must be rejected");
+            assert!(
+                matches!(err, AnnealConfigError::InitialTemperature(v) if v.to_bits() == t.to_bits()),
+                "initial temperature {t}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn with_config_rejects_an_unusable_final_temperature() {
+        for t in [0.0, -0.003, f64::NAN, f64::INFINITY] {
+            let config = AnnealConfig {
+                final_temperature: t,
+                ..AnnealConfig::default()
+            };
+            let err = SlicingFloorplanner::new(uniform_blocks(3, 10.0, 10.0), vec![])
+                .with_config(config)
+                .expect_err("a stop temperature the schedule never reaches must be rejected");
+            assert!(
+                matches!(err, AnnealConfigError::FinalTemperature(v) if v.to_bits() == t.to_bits()),
+                "final temperature {t}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1076,6 +1461,7 @@ mod tests {
         };
         let r = SlicingFloorplanner::new(blocks, nets)
             .with_config(cfg)
+            .expect("valid schedule")
             .run(13);
         let d = r.placements[0].center_distance(&r.placements[7]).raw();
         let diag = r.chip_width.raw() + r.chip_height.raw();
