@@ -72,6 +72,18 @@ tier1() {
   cargo build "${CARGO_FLAGS[@]}" --release
   echo "==> tier-1: cargo test -q"
   cargo test "${CARGO_FLAGS[@]}" -q
+  # A test registered twice in one binary runs twice and counts twice
+  # (a test macro that adds its own #[test] to the caller's does this).
+  echo "==> tier-1: every test registered once per binary"
+  local dups
+  dups=$(cargo test "${CARGO_FLAGS[@]}" -- --list 2>&1 |
+    awk '/^ *(Running|Doc-tests) /{bin = $0; next} /: test$/{print bin " :: " $0}' |
+    sort | uniq -d)
+  if [[ -n $dups ]]; then
+    echo "ci.sh: tests registered more than once:" >&2
+    echo "$dups" >&2
+    exit 1
+  fi
   # The debug run above already includes the engine parity suite — one
   # Simulator type, scan == event == sharded at 1/2/4/8 workers, incl.
   # faults, online recovery, GALS and TDMA (with conservation

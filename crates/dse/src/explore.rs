@@ -43,11 +43,13 @@ use crate::front::{FrontPoint, ParetoFront};
 use crate::generator::generate_spec;
 use crate::grid::{Candidate, TopologyFamily};
 use crate::shared::SharedEval;
-use crate::store::Store;
+use crate::store::{Store, StoreStats, StoreView};
 use noc_floorplan::core_plan::CoreFloorplan;
 use noc_par::ParRunner;
 use noc_power::technology::TechNode;
-use noc_spec::canon::{content_hash, hash_parts, CanonReader, Canonical, ContentHash};
+use noc_spec::canon::{
+    content_hash, hash_parts, CanonReader, Canonical, ContentHash, ContentHasher,
+};
 use noc_synth::canon::{decode_structures, encode_structures};
 use noc_synth::eval::DesignMetrics;
 use noc_synth::partition::{partition, Partition};
@@ -125,8 +127,9 @@ pub struct DseReport {
     pub feasible_points: u64,
     /// The global Pareto front on (power, latency).
     pub front: ParetoFront,
-    /// Store hit/miss counters for *this* call.
-    pub store_stats: crate::store::StoreStats,
+    /// Store hit/miss counters for *this* call; `corrupt` and
+    /// `truncated_bytes` are the store's facts from its open.
+    pub store_stats: StoreStats,
     /// Candidate evaluations (this call) whose structure phase was
     /// served by an already-routed structure — in-memory or decoded
     /// from a persisted pool — instead of re-synthesized. Zero on a
@@ -147,6 +150,9 @@ struct ShardResult {
     points: Vec<FrontPoint>,
     structure_hits: u64,
     structure_misses: u64,
+    /// Store lookups of the shard that hit and missed.
+    store_hits: u64,
+    store_misses: u64,
 }
 
 /// The stored structures of one custom `(k, width)` pool, or none
@@ -155,40 +161,42 @@ struct ShardResult {
 /// never read structure keys.
 fn load_pool(
     key: ContentHash,
-    store: &Store,
+    view: &StoreView<'_>,
     spec: &noc_spec::AppSpec,
     fp: &CoreFloorplan,
 ) -> Vec<CandidateStructure> {
-    store
-        .get(key)
-        .and_then(|bytes| decode_structures(&bytes, spec, fp).ok())
+    view.get(key)
+        .and_then(|bytes| decode_structures(bytes, spec, fp).ok())
         .unwrap_or_default()
 }
 
 /// Fetches a `Canonical` value by key, recomputing (and scheduling an
-/// append) on miss or undecodable bytes.
+/// append) on miss or undecodable bytes. Returns the value and the
+/// content hash of its canonical bytes.
 fn cached<T: Canonical>(
-    store: &Store,
+    view: &StoreView<'_>,
     key: ContentHash,
     new_entries: &mut Vec<(ContentHash, Vec<u8>)>,
     compute: impl FnOnce() -> T,
-) -> (T, Vec<u8>) {
-    if let Some(bytes) = store.get(key) {
-        if let Ok(value) = T::from_canon_bytes(&bytes) {
-            return (value, bytes);
+) -> (T, ContentHash) {
+    if let Some(bytes) = view.get(key) {
+        if let Ok(value) = T::from_canon_bytes(bytes) {
+            return (value, content_hash(bytes));
         }
     }
     let value = compute();
     let bytes = value.to_canon_bytes();
-    new_entries.push((key, bytes.clone()));
-    (value, bytes)
+    let hash = content_hash(&bytes);
+    new_entries.push((key, bytes));
+    (value, hash)
 }
 
+/// Evaluates one shard, reading the store only through `view`.
 fn eval_shard(
     cfg: &DseConfig,
     grid: &[Candidate],
     run: ContentHash,
-    store: &Store,
+    view: &StoreView<'_>,
     shard: u64,
 ) -> ShardResult {
     let mut new_entries = Vec::new();
@@ -203,10 +211,9 @@ fn eval_shard(
     // equal-or-better cost ~2.6× faster than the default one.
     let fp_seed = spec_hash.fold_u64() ^ cfg.base_seed;
     let fp_key = hash_parts("fp", &[&run.0, &spec_hash.0]);
-    let (fp, fp_bytes) = cached(store, fp_key, &mut new_entries, || {
+    let (fp, fp_hash) = cached(view, fp_key, &mut new_entries, || {
         CoreFloorplan::from_spec_chains_sized(&spec, fp_seed, cfg.floorplan_chains)
     });
-    let fp_hash = content_hash(&fp_bytes);
 
     // Stage 2: one partition per distinct custom switch count.
     let mut parts: BTreeMap<usize, Partition> = BTreeMap::new();
@@ -216,10 +223,10 @@ fn eval_shard(
             let k = switches.clamp(1, n);
             parts.entry(k).or_insert_with(|| {
                 let key = hash_parts("part", &[&run.0, &spec_hash.0, &k.to_canon_bytes()]);
-                let (part, bytes) = cached(store, key, &mut new_entries, || {
+                let (part, hash) = cached(view, key, &mut new_entries, || {
                     partition(&spec, k, cfg.cluster_slack)
                 });
-                part_hashes.insert(k, content_hash(&bytes));
+                part_hashes.insert(k, hash);
                 part
             });
         }
@@ -239,30 +246,40 @@ fn eval_shard(
             ],
         )
     };
+    // Candidate keys share their leading parts within the shard: hash
+    // them once per key shape (custom keys carry a fifth part, the
+    // partition hash) and extend a copy per candidate.
+    let cand_prefix = |parts: usize| {
+        let mut h = ContentHasher::tagged("cand", parts);
+        h.part(&run.0);
+        h.part(&spec_hash.0);
+        h
+    };
+    let (custom_prefix, mesh_prefix) = (cand_prefix(5), cand_prefix(4));
+    let mut cand_bytes = Vec::new();
     let mut shared = SharedEval::new(&spec, &fp, &parts, cfg);
     let mut points = Vec::new();
     for cand in grid {
-        let cand_bytes = cand.to_canon_bytes();
-        let key = match cand.family {
-            TopologyFamily::Custom { switches } => {
-                let part_hash = &part_hashes[&switches.clamp(1, n)].0;
-                hash_parts(
-                    "cand",
-                    &[&run.0, &spec_hash.0, &cand_bytes, &fp_hash.0, part_hash],
-                )
-            }
-            TopologyFamily::Mesh => {
-                hash_parts("cand", &[&run.0, &spec_hash.0, &cand_bytes, &fp_hash.0])
-            }
+        cand_bytes.clear();
+        cand.encode(&mut cand_bytes);
+        let mut key = match cand.family {
+            TopologyFamily::Custom { .. } => custom_prefix,
+            TopologyFamily::Mesh => mesh_prefix,
         };
-        let hit = store
+        key.part(&cand_bytes);
+        key.part(&fp_hash.0);
+        if let TopologyFamily::Custom { switches } = cand.family {
+            key.part(&part_hashes[&switches.clamp(1, n)].0);
+        }
+        let key = key.finish();
+        let hit = view
             .get(key)
-            .and_then(|b| Option::<DesignMetrics>::from_canon_bytes(&b).ok());
+            .and_then(|b| Option::<DesignMetrics>::from_canon_bytes(b).ok());
         let metrics = match hit {
             Some(v) => v,
             None => {
                 let v = shared.evaluate(cand, |k, width| {
-                    load_pool(pool_key(k, width), store, &spec, &fp)
+                    load_pool(pool_key(k, width), view, &spec, &fp)
                 });
                 new_entries.push((key, v.to_canon_bytes()));
                 v
@@ -290,6 +307,8 @@ fn eval_shard(
         points,
         structure_hits: shared.structure_hits,
         structure_misses: shared.structure_misses,
+        store_hits: view.hits(),
+        store_misses: view.misses(),
     }
 }
 
@@ -378,11 +397,14 @@ pub fn explore(cfg: &DseConfig, grid: &[Candidate], store: &Store) -> std::io::R
     let mut shard = start;
     let mut structure_hits = 0u64;
     let mut structure_misses = 0u64;
+    let (mut store_hits, mut store_misses) = (0u64, 0u64);
     while shard < limit {
         let batch_end = (shard + cfg.checkpoint_every.max(1) as u64).min(limit);
         let indices: Vec<u64> = (shard..batch_end).collect();
+        // One read view per shard; every view is dropped by the time
+        // `run` returns, before the appends below take the write lock.
         let results = runner.run(cfg.base_seed, &indices, |&idx, _seed| {
-            eval_shard(cfg, grid, run, store, idx)
+            eval_shard(cfg, grid, run, &store.view(), idx)
         });
         // Deterministic merge: ParRunner returns results in point
         // order regardless of which worker ran what.
@@ -390,6 +412,8 @@ pub fn explore(cfg: &DseConfig, grid: &[Candidate], store: &Store) -> std::io::R
             store.insert_batch(r.new_entries)?;
             structure_hits += r.structure_hits;
             structure_misses += r.structure_misses;
+            store_hits += r.store_hits;
+            store_misses += r.store_misses;
             for p in r.points {
                 front.offer(p);
             }
@@ -413,7 +437,11 @@ pub fn explore(cfg: &DseConfig, grid: &[Candidate], store: &Store) -> std::io::R
         specs_explored: shard,
         candidates_evaluated,
         feasible_points: front.offered(),
-        store_stats: store.stats(),
+        store_stats: StoreStats {
+            hits: store_hits,
+            misses: store_misses,
+            ..store.stats()
+        },
         structure_hits,
         structure_misses,
         completed: shard >= total,
@@ -473,6 +501,29 @@ mod tests {
             warm.front.canonical_bytes(),
             "cache replay must reproduce the front bit-identically"
         );
+    }
+
+    /// `store_stats` counts the lookups of the call that returns it,
+    /// not every lookup since the store was opened.
+    #[test]
+    fn store_stats_count_only_this_call() {
+        let store = Store::in_memory();
+        let cfg = small_cfg();
+        let grid = small_grid();
+        let cold = explore(&cfg, &grid, &store).expect("cold");
+        assert_eq!(cold.store_stats.hits, 0);
+        assert!(cold.store_stats.misses > 0);
+        // No reset in between: the warm call must not report the cold
+        // call's misses.
+        let warm = explore(&cfg, &grid, &store).expect("warm");
+        assert_eq!(warm.store_stats.misses, 0);
+        // Every shard looks up its floorplan, its partitions and every
+        // candidate once; the cold call also looked up structure pools.
+        assert!(warm.store_stats.hits >= cfg.specs as u64 * grid.len() as u64);
+        assert!(warm.store_stats.hits < cold.store_stats.misses);
+        let total = store.stats();
+        assert_eq!(total.hits, warm.store_stats.hits);
+        assert_eq!(total.misses, cold.store_stats.misses);
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use crate::front::{FrontPoint, ParetoFront};
 pub use crate::generator::{generate_spec, SocFamily};
 pub use crate::grid::{default_grid, mesh_shape, Candidate, TopologyFamily};
 pub use crate::shared::SharedEval;
-pub use crate::store::{Store, StoreStats};
+pub use crate::store::{Store, StoreStats, StoreView};

@@ -26,12 +26,37 @@
 //! fresh records once into one new segment, the same bytes it appends
 //! to the file. A hash index maps each key to its segment and payload
 //! range, so opening a store copies nothing per record and dropping it
-//! frees one buffer per segment. Open frames the records serially from
-//! their headers, then verifies their checksums on
-//! [`noc_par::ParRunner`] in chunks of 1024 records (a
-//! smaller store runs serially) and builds the index in file order, so
-//! the last valid record of a key wins. The on-disk format is the same
-//! whichever way the records are held.
+//! frees one buffer per segment. Keys are already SplitMix-finalized
+//! content hashes, so the index hashes a key by its first 8 bytes
+//! alone; a store file is trusted local input, and a crafted collision
+//! could only slow a lookup, never return a wrong record. The on-disk
+//! format is the same whichever way the records are held.
+//!
+//! ## Verification at open
+//!
+//! Open frames the records serially from their headers, then verifies
+//! their checksums on [`noc_par::ParRunner`] in chunks of 1024 records
+//! (a smaller store runs serially). FNV-1a is one multiply per byte,
+//! each waiting on the last, so one record at a time runs at the
+//! multiplier's latency. A chunk therefore sorts its records by length
+//! and checksums them four at a time in four independent chains, up to
+//! the shortest of the four; each record's remaining tail is finished
+//! on its own chain. The results go back to file order before the index
+//! is built in file order, so the last valid record of a key wins and
+//! every corrupt record is counted, exactly as a serial walk would.
+//!
+//! ## Reading
+//!
+//! [`Store::view`] takes the store's read lock once and returns a
+//! [`StoreView`] whose `get` borrows the payload in place. A view counts
+//! its hits and misses locally and adds them to the store's counters
+//! once, when it is dropped, so readers on several threads share no
+//! cache line per lookup. [`Store::get`] is a one-lookup view that
+//! copies the payload out. A view holds the read lock for as long as it
+//! lives: never call [`Store::insert_batch`] on a thread that holds a
+//! view of the same store, or the write lock waits for that thread
+//! forever. `explore` holds one view per shard and inserts only after
+//! every shard of a batch has returned.
 //!
 //! Every handle appends in append mode under an exclusive file lock,
 //! and open reads and repairs the file under the same lock, so several
@@ -40,14 +65,16 @@
 
 use noc_par::ParRunner;
 use noc_spec::canon::ContentHash;
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock, RwLockWriteGuard};
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Magic header identifying a store file (version 1).
 pub const MAGIC: [u8; 8] = *b"NOCDSE1\n";
@@ -59,14 +86,36 @@ const TRAILER: usize = 8;
 /// Records per checksum-verification work item at open.
 const VERIFY_CHUNK: usize = 1024;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit continued from state `h` over `bytes`.
+fn fnv1a64_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 /// FNV-1a 64-bit, the per-record integrity checksum.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a64`] of four byte strings at once. The four chains run in
+/// lockstep up to the shortest string, so their multiplies overlap
+/// instead of each waiting on the last; every tail is then finished on
+/// its own chain.
+fn fnv1a64_x4(bodies: [&[u8]; 4]) -> [u64; 4] {
+    let common = bodies.iter().map(|b| b.len()).min().unwrap_or(0);
+    let [b0, b1, b2, b3] = bodies.map(|b| &b[..common]);
+    let mut h = [FNV_OFFSET; 4];
+    for (((&x0, &x1), &x2), &x3) in b0.iter().zip(b1).zip(b2).zip(b3) {
+        h[0] = (h[0] ^ u64::from(x0)).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ u64::from(x1)).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ u64::from(x2)).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ u64::from(x3)).wrapping_mul(FNV_PRIME);
     }
-    h
+    std::array::from_fn(|lane| fnv1a64_from(h[lane], &bodies[lane][common..]))
 }
 
 /// Appends the on-disk encoding of one record to `buf`, returning the
@@ -101,10 +150,34 @@ fn frame_records(bytes: &[u8]) -> Vec<Range<usize>> {
     frames
 }
 
-/// Whether the record framed at `frame` carries a valid checksum.
-fn checksum_ok(bytes: &[u8], frame: &Range<usize>) -> bool {
+/// The checksummed body (key, length and payload) of the record framed
+/// at `frame`, and the checksum stored after it.
+fn body_and_sum<'a>(bytes: &'a [u8], frame: &Range<usize>) -> (&'a [u8], u64) {
     let (body, sum) = bytes[frame.clone()].split_at(frame.len() - TRAILER);
-    fnv1a64(body) == u64::from_le_bytes(sum.try_into().expect("8 bytes"))
+    (body, u64::from_le_bytes(sum.try_into().expect("8 bytes")))
+}
+
+/// Whether each record framed in `frames` carries a valid checksum, in
+/// the order of `frames`. Records are checksummed four at a time in
+/// order of length (see the module doc).
+fn verify_chunk(bytes: &[u8], frames: &[Range<usize>]) -> Vec<bool> {
+    let mut by_len: Vec<usize> = (0..frames.len()).collect();
+    by_len.sort_unstable_by_key(|&i| frames[i].len());
+    let mut ok = vec![false; frames.len()];
+    let mut quads = by_len.chunks_exact(4);
+    for quad in &mut quads {
+        let records: [(&[u8], u64); 4] =
+            std::array::from_fn(|lane| body_and_sum(bytes, &frames[quad[lane]]));
+        let sums = fnv1a64_x4(records.map(|(body, _)| body));
+        for ((&i, (_, stored)), sum) in quad.iter().zip(records).zip(sums) {
+            ok[i] = sum == stored;
+        }
+    }
+    for &i in quads.remainder() {
+        let (body, stored) = body_and_sum(bytes, &frames[i]);
+        ok[i] = fnv1a64(body) == stored;
+    }
+    ok
 }
 
 /// Runs `f` under an exclusive lock on `file`, which every handle on
@@ -141,19 +214,54 @@ impl StoreStats {
     }
 }
 
+/// A key of the index. Keys are SplitMix-finalized content hashes, so
+/// their first 8 bytes are already a well-mixed hash of the whole key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IndexKey([u8; 16]);
+
+impl Hash for IndexKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from_le_bytes(self.0[..8].try_into().expect("8 bytes")));
+    }
+}
+
+/// The index's hasher: passes an [`IndexKey`]'s prefix through.
+#[derive(Debug, Default)]
+struct PrefixHasher(u64);
+
+impl Hasher for PrefixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached from `IndexKey`; fold anything else.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Key → (segment, payload range within it).
+type Index = HashMap<IndexKey, (usize, Range<usize>), BuildHasherDefault<PrefixHasher>>;
+
 /// Encoded records and the index over them.
 #[derive(Debug, Default)]
 struct Records {
     /// Records in their on-disk encoding: the file as read at open,
     /// then one buffer per `insert_batch`.
     segments: Vec<Vec<u8>>,
-    /// Key → (segment, payload range within it).
-    index: HashMap<[u8; 16], (usize, Range<usize>)>,
+    index: Index,
 }
 
 /// A content-addressed key→bytes store, in memory or backed by an
-/// append-only file. `get` is safe to call from many threads at once
-/// (the DSE shard fan-out does); `insert_batch` serializes appends.
+/// append-only file. Views and `get` are safe to use from many threads
+/// at once (the DSE shard fan-out does); `insert_batch` serializes
+/// appends.
 #[derive(Debug)]
 pub struct Store {
     records: RwLock<Records>,
@@ -218,21 +326,19 @@ impl Store {
         })?;
         let chunks: Vec<&[Range<usize>]> = frames.chunks(VERIFY_CHUNK).collect();
         let valid = ParRunner::new()
-            .run(0, &chunks, |chunk, _seed| {
-                chunk
-                    .iter()
-                    .map(|frame| checksum_ok(&bytes, frame))
-                    .collect::<Vec<bool>>()
-            })
+            .run(0, &chunks, |chunk, _seed| verify_chunk(&bytes, chunk))
             .concat();
-        let mut index = HashMap::with_capacity(frames.len());
+        let mut index = Index::with_capacity_and_hasher(frames.len(), Default::default());
         let mut corrupt = 0u64;
         for (frame, ok) in frames.into_iter().zip(valid) {
             if ok {
                 let key = bytes[frame.start..frame.start + 16]
                     .try_into()
                     .expect("16 bytes");
-                index.insert(key, (0, frame.start + HEADER..frame.end - TRAILER));
+                index.insert(
+                    IndexKey(key),
+                    (0, frame.start + HEADER..frame.end - TRAILER),
+                );
             } else {
                 corrupt += 1;
             }
@@ -266,19 +372,22 @@ impl Store {
         self.len() == 0
     }
 
+    /// A read view for a run of lookups: takes the read lock once and
+    /// adds its hit and miss counts to the store's when dropped. Never
+    /// call [`insert_batch`](Store::insert_batch) on a thread that
+    /// holds a view (see the module doc).
+    pub fn view(&self) -> StoreView<'_> {
+        StoreView {
+            store: self,
+            records: self.records.read().expect("store lock"),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+        }
+    }
+
     /// Looks up a key, counting the hit or miss.
     pub fn get(&self, key: ContentHash) -> Option<Vec<u8>> {
-        let records = self.records.read().expect("store lock");
-        let got = records
-            .index
-            .get(&key.0)
-            .map(|(segment, payload)| records.segments[*segment][payload.clone()].to_vec());
-        if got.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        got
+        self.view().get(key).map(<[u8]>::to_vec)
     }
 
     /// Inserts a batch of entries, appending each new key to the
@@ -301,12 +410,12 @@ impl Store {
         // its capacity unused for the life of the store.
         let fresh_bytes = entries
             .iter()
-            .filter(|(key, _)| !records.index.contains_key(&key.0))
+            .filter(|(key, _)| !records.index.contains_key(&IndexKey(key.0)))
             .map(|(_, value)| HEADER + value.len() + TRAILER)
             .sum();
         let mut buf = Vec::with_capacity(fresh_bytes);
         for (key, value) in &entries {
-            if let Entry::Vacant(slot) = records.index.entry(key.0) {
+            if let Entry::Vacant(slot) = records.index.entry(IndexKey(key.0)) {
                 slot.insert((segment, encode_record(&mut buf, &key.0, value)));
             }
         }
@@ -339,6 +448,56 @@ impl Store {
         self.misses.store(0, Ordering::Relaxed);
     }
 }
+
+/// A read view of a [`Store`]: holds the store's read lock and serves
+/// payloads in place. See [`Store::view`].
+#[derive(Debug)]
+pub struct StoreView<'a> {
+    store: &'a Store,
+    records: RwLockReadGuard<'a, Records>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+impl StoreView<'_> {
+    /// Looks up a key, counting the hit or miss in this view.
+    pub fn get(&self, key: ContentHash) -> Option<&[u8]> {
+        let got = self
+            .records
+            .index
+            .get(&IndexKey(key.0))
+            .map(|(segment, payload)| &self.records.segments[*segment][payload.clone()]);
+        let counter = if got.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.set(counter.get() + 1);
+        got
+    }
+
+    /// Hits served by this view so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.get()
+    }
+
+    /// Misses seen by this view so far.
+    pub fn misses(&self) -> u64 {
+        self.misses.get()
+    }
+}
+
+impl Drop for StoreView<'_> {
+    fn drop(&mut self) {
+        self.store
+            .hits
+            .fetch_add(self.hits.get(), Ordering::Relaxed);
+        self.store
+            .misses
+            .fetch_add(self.misses.get(), Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,10 +696,17 @@ mod tests {
     #[test]
     fn parallel_verification_equals_a_serial_reference() {
         let key = |i: u32| content_hash(&i.to_le_bytes()).0;
-        let payload = |i: u32| {
-            format!("payload-{i}")
+        // Mostly short payloads, with empty ones and some of a few KB
+        // among them, so the four checksum lanes of a chunk run over
+        // unequal lengths.
+        let payload = |i: u32| match i % 10 {
+            5 => Vec::new(),
+            0 => (0..(i as usize * 37) % 3000)
+                .map(|j| (i as usize + j) as u8)
+                .collect(),
+            _ => format!("payload-{i}")
                 .repeat(1 + i as usize % 3)
-                .into_bytes()
+                .into_bytes(),
         };
         let mut bytes = MAGIC.to_vec();
         let mut starts = Vec::new();
@@ -567,6 +733,8 @@ mod tests {
         for &at in &flips {
             bytes[at] ^= 0x5A;
         }
+        // 5 002 records: four full verification chunks and one of 906,
+        // which is not a multiple of the four lanes.
         // A torn tail: half of one more record.
         let torn = reference_record(&key(9_999), b"never-finished");
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
@@ -610,6 +778,103 @@ mod tests {
         drop(store);
         assert_eq!(std::fs::metadata(&path).expect("stat").len(), pos as u64);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The four-lane kernel against a per-record reference: record
+    /// lengths from empty to a few KB in shuffled order, every chunk
+    /// size from 1 to 13 (most not a multiple of 4), and each record of
+    /// a chunk damaged in turn at its first byte, its last body byte and
+    /// its checksum, so every lane and the serial remainder see a bad
+    /// record.
+    #[test]
+    fn interleaved_checksums_equal_a_per_record_reference() {
+        let lens: Vec<usize> = (0..=40)
+            .chain([
+                63, 64, 65, 255, 256, 257, 1000, 1023, 1024, 1025, 2047, 4096,
+            ])
+            .collect();
+        let mut bytes = MAGIC.to_vec();
+        for i in 0..lens.len() {
+            // A permutation of the lengths, so chunks are not in length
+            // order and the kernel's sort moves records between lanes.
+            let len = lens[(i * 17) % lens.len()];
+            let payload: Vec<u8> = (0..len).map(|j| (i * 31 + j) as u8).collect();
+            bytes.extend(reference_record(&content_hash(&[i as u8]).0, &payload));
+        }
+        let frames = frame_records(&bytes);
+        assert_eq!(frames.len(), lens.len());
+        let reference = |bytes: &[u8], window: &[Range<usize>]| -> Vec<bool> {
+            window
+                .iter()
+                .map(|f| {
+                    let sum = u64::from_le_bytes(bytes[f.end - 8..f.end].try_into().unwrap());
+                    reference_fnv1a64(&bytes[f.start..f.end - 8]) == sum
+                })
+                .collect()
+        };
+        for size in 1..=13 {
+            for start in (0..=frames.len() - size).step_by(3) {
+                let window = &frames[start..start + size];
+                assert_eq!(verify_chunk(&bytes, window), vec![true; size]);
+                for bad in 0..size {
+                    let f = &window[bad];
+                    for at in [f.start, f.end - TRAILER - 1, f.end - 3] {
+                        bytes[at] ^= 0x41;
+                        let got = verify_chunk(&bytes, window);
+                        assert_eq!(
+                            got,
+                            reference(&bytes, window),
+                            "size {size} bad {bad} at {at}"
+                        );
+                        assert_eq!(got.iter().filter(|ok| !**ok).count(), 1);
+                        bytes[at] ^= 0x41;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Views on two threads serve the same bytes as `get`, and their
+    /// hit and miss counts reach the store's counters exactly.
+    #[test]
+    fn views_on_two_threads_match_get_and_count_exactly() {
+        let store = Store::in_memory();
+        let keys: Vec<ContentHash> = (0..400u32)
+            .map(|i| content_hash(&i.to_le_bytes()))
+            .collect();
+        store
+            .insert_batch(
+                keys.iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % 3 != 0)
+                    .map(|(i, k)| (*k, vec![i as u8; i % 50])),
+            )
+            .expect("insert");
+        let expected: Vec<Option<Vec<u8>>> = keys.iter().map(|&k| store.get(k)).collect();
+        let (hits, misses) = (266u64, 134u64);
+        assert_eq!(store.stats().hits, hits);
+        assert_eq!(store.stats().misses, misses);
+        store.reset_counters();
+        let rounds = 5u64;
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (store, keys, expected) = (&store, &keys, &expected);
+                scope.spawn(move || {
+                    for _ in 0..rounds {
+                        let view = store.view();
+                        // The two threads walk the keys in opposite orders.
+                        for j in 0..keys.len() {
+                            let i = if t == 0 { j } else { keys.len() - 1 - j };
+                            assert_eq!(view.get(keys[i]), expected[i].as_deref(), "key {i}");
+                        }
+                        assert_eq!((view.hits(), view.misses()), (hits, misses));
+                    }
+                });
+            }
+        });
+        let stats = store.stats();
+        assert_eq!(stats.hits, 2 * rounds * hits);
+        assert_eq!(stats.misses, 2 * rounds * misses);
     }
 
     /// Two handles on one file: each appends at the file's real end,

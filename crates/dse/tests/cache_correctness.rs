@@ -46,6 +46,7 @@ proptest! {
     /// Cache hit ≡ recomputation: for any perturbation of the spec
     /// population (any base seed), the warm run is 100% hits and its
     /// front is byte-identical to the cold one.
+    #[test]
     fn warm_replay_is_bit_identical(seed in 0u64..1_000_000) {
         let grid = small_grid();
         let store = Store::in_memory();
@@ -65,6 +66,7 @@ proptest! {
 
     /// Corruption anywhere in the store body degrades to recompute,
     /// never to a wrong answer.
+    #[test]
     fn corruption_degrades_to_recompute(seed in 0u64..1_000_000, at in 0usize..10_000) {
         let grid = small_grid();
         let path = tmp("corrupt", seed ^ at as u64);
@@ -95,6 +97,7 @@ proptest! {
 
     /// Eviction (deleting the store and checkpoint outright) is just a
     /// cold start: same answer, all misses.
+    #[test]
     fn eviction_degrades_to_recompute(seed in 0u64..1_000_000) {
         let grid = small_grid();
         let path = tmp("evict", seed);

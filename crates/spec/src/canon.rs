@@ -17,7 +17,9 @@
 //!
 //! [`Canonical`] is the trait all stage inputs/outputs implement;
 //! [`content_hash`] maps canonical bytes to the 128-bit [`ContentHash`]
-//! used as the store key. Downstream crates (`noc-topology`,
+//! used as the store key; [`ContentHasher`] computes the same hash
+//! from pieces fed in sequence, and [`hash_parts`] frames a tagged
+//! list of parts for it. Downstream crates (`noc-topology`,
 //! `noc-floorplan`, `noc-synth`, `noc-power`, `noc`) implement
 //! [`Canonical`] for their own stage types; this module provides the
 //! primitive, container and spec-type impls.
@@ -186,6 +188,79 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64-bit prime, the multiplier of both hash lanes.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// The running state of [`content_hash`]: its two lanes and the count
+/// of bytes fed so far.
+///
+/// The second lane mixes each byte with its position in the whole
+/// input, which is the running count, so feeding pieces one after
+/// another gives the hash of their concatenation. A caller that keys
+/// many values under one common prefix hashes the prefix once and
+/// copies the state per value (the DSE shard does this for its
+/// candidate keys).
+#[derive(Debug, Clone, Copy)]
+pub struct ContentHasher {
+    a: u64,
+    b: u64,
+    len: u64,
+}
+
+impl Default for ContentHasher {
+    fn default() -> ContentHasher {
+        ContentHasher::new()
+    }
+}
+
+impl ContentHasher {
+    /// The state of an empty input.
+    pub const fn new() -> ContentHasher {
+        ContentHasher {
+            a: 0xCBF2_9CE4_8422_2325,
+            b: 0x9AE1_6A3B_2F90_404F,
+            len: 0,
+        }
+    }
+
+    /// The state of [`hash_parts`] after its tag and part count, before
+    /// the first part.
+    pub fn tagged(tag: &str, parts: usize) -> ContentHasher {
+        let mut h = ContentHasher::new();
+        h.part(tag.as_bytes());
+        h.write(&(parts as u64).to_le_bytes());
+        h
+    }
+
+    /// Feeds `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        let (mut a, mut b, mut i) = (self.a, self.b, self.len);
+        for &byte in bytes {
+            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            b = (b ^ u64::from(byte).wrapping_add(i)).wrapping_mul(FNV_PRIME);
+            i = i.wrapping_add(1);
+        }
+        *self = ContentHasher { a, b, len: i };
+    }
+
+    /// Feeds one length-prefixed part, framed as [`hash_parts`] frames
+    /// each of its parts.
+    pub fn part(&mut self, bytes: &[u8]) {
+        self.write(&(bytes.len() as u64).to_le_bytes());
+        self.write(bytes);
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> ContentHash {
+        let a = mix64(self.a ^ self.len);
+        let b = mix64(self.b.rotate_left(32) ^ a);
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&a.to_le_bytes());
+        out[8..].copy_from_slice(&b.to_le_bytes());
+        ContentHash(out)
+    }
+}
+
 /// Hashes a byte string to a 128-bit [`ContentHash`].
 ///
 /// Two independent FNV-1a-style 64-bit lanes (different offset bases
@@ -194,33 +269,19 @@ fn mix64(mut z: u64) -> u64 {
 /// but collision-safe at the scale the DSE service targets (birthday
 /// bound ≈ 2⁶⁴ entries).
 pub fn content_hash(bytes: &[u8]) -> ContentHash {
-    let mut a: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut b: u64 = 0x9AE1_6A3B_2F90_404F;
-    for (i, &byte) in bytes.iter().enumerate() {
-        a = (a ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-        b = (b ^ u64::from(byte).wrapping_add(i as u64)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    a = mix64(a ^ (bytes.len() as u64));
-    b = mix64(b.rotate_left(32) ^ a);
-    let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&a.to_le_bytes());
-    out[8..].copy_from_slice(&b.to_le_bytes());
-    ContentHash(out)
+    let mut h = ContentHasher::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Hashes a tagged sequence of parts, each length-prefixed so distinct
 /// part boundaries can never collide by concatenation.
 pub fn hash_parts(tag: &str, parts: &[&[u8]]) -> ContentHash {
-    let mut buf =
-        Vec::with_capacity(tag.len() + 16 + parts.iter().map(|p| p.len() + 8).sum::<usize>());
-    (tag.len() as u64).encode(&mut buf);
-    buf.extend_from_slice(tag.as_bytes());
-    (parts.len() as u64).encode(&mut buf);
+    let mut h = ContentHasher::tagged(tag, parts.len());
     for p in parts {
-        (p.len() as u64).encode(&mut buf);
-        buf.extend_from_slice(p);
+        h.part(p);
     }
-    content_hash(&buf)
+    h.finish()
 }
 
 // ---------------------------------------------------------------------

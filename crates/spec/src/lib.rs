@@ -54,7 +54,9 @@ pub mod traffic;
 pub mod units;
 
 pub use crate::app::AppSpec;
-pub use crate::canon::{content_hash, hash_parts, CanonError, CanonReader, Canonical, ContentHash};
+pub use crate::canon::{
+    content_hash, hash_parts, CanonError, CanonReader, Canonical, ContentHash, ContentHasher,
+};
 pub use crate::core::{Core, CoreId, CoreRole, IslandId};
 pub use crate::error::SpecError;
 pub use crate::fault::{

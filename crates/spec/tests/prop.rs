@@ -1,6 +1,7 @@
 //! Property-based tests of the specification model.
 
 use noc_spec::app::AppSpec;
+use noc_spec::canon::{content_hash, hash_parts, ContentHasher};
 use noc_spec::core::{Core, CoreRole};
 use noc_spec::protocol::TransactionKind;
 use noc_spec::textfmt;
@@ -175,6 +176,46 @@ fn base_plan_text() -> String {
         },
     ])
     .to_text()
+}
+
+proptest! {
+    /// Hashing a byte string piece by piece, split anywhere, gives
+    /// `content_hash` of the whole string.
+    #[test]
+    fn content_hasher_is_split_invariant(
+        bytes in prop::collection::vec(0u8..255, 0..600),
+        cuts in prop::collection::vec(0usize..600, 0..8),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+        cuts.sort_unstable();
+        let mut h = ContentHasher::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            h.write(&bytes[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(h.finish(), content_hash(&bytes));
+    }
+
+    /// A prefix state copied and extended equals `hash_parts` of the
+    /// whole part list.
+    #[test]
+    fn tagged_prefix_extends_to_hash_parts(
+        parts in prop::collection::vec(prop::collection::vec(0u8..255, 0..40), 1..6),
+        shared in 0usize..6,
+    ) {
+        let shared = shared.min(parts.len());
+        let mut prefix = ContentHasher::tagged("cand", parts.len());
+        for p in &parts[..shared] {
+            prefix.part(p);
+        }
+        let mut h = prefix;
+        for p in &parts[shared..] {
+            h.part(p);
+        }
+        let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(h.finish(), hash_parts("cand", &slices));
+    }
 }
 
 proptest! {
