@@ -579,6 +579,240 @@ mod tests {
         assert_eq!(cold.front.canonical_bytes(), warm.front.canonical_bytes());
     }
 
+    fn tmp(name: &str) -> PathBuf {
+        let mut p = std::env::temp_dir();
+        p.push(format!("noc_dse_explore_{name}_{}", std::process::id()));
+        p
+    }
+
+    /// Removes a file store and its checkpoint sidecar.
+    fn cleanup(path: &PathBuf) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(format!("{}.ckpt", path.display()));
+    }
+
+    fn a_checkpoint() -> Checkpoint {
+        let mut front = ParetoFront::new();
+        for (i, cand) in small_grid().into_iter().enumerate() {
+            front.offer(FrontPoint {
+                spec_index: i as u64,
+                candidate: cand,
+                power_mw: 10.0 - i as f64,
+                latency_cycles: 5.0 + i as f64,
+                area_um2: 1.0,
+            });
+        }
+        Checkpoint {
+            shards_done: 3,
+            candidates_evaluated: 42,
+            front,
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_round_trips() {
+        let path = tmp("ckpt_round_trip");
+        let run = content_hash(b"run");
+        let ckpt = a_checkpoint();
+        write_checkpoint(&path, run, &ckpt).expect("write");
+        let back = load_checkpoint(&path, run).expect("loads");
+        assert_eq!(back.shards_done, 3);
+        assert_eq!(back.candidates_evaluated, 42);
+        assert_eq!(back.front, ckpt.front);
+        // The temporary file was renamed into place.
+        assert!(!PathBuf::from(format!("{}.tmp", path.display())).exists());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_run_is_ignored() {
+        let path = tmp("ckpt_other_run");
+        write_checkpoint(&path, content_hash(b"run-a"), &a_checkpoint()).expect("write");
+        assert!(load_checkpoint(&path, content_hash(b"run-b")).is_none());
+        assert!(load_checkpoint(&path, content_hash(b"run-a")).is_some());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_damaged_checkpoint_is_ignored() {
+        let path = tmp("ckpt_damaged");
+        let run = content_hash(b"run");
+        write_checkpoint(&path, run, &a_checkpoint()).expect("write");
+        let bytes = std::fs::read(&path).expect("read");
+        // Trailing bytes, a cut body, a cut run hash, and no file at all.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        for damaged in [
+            trailing,
+            bytes[..bytes.len() - 1].to_vec(),
+            bytes[..10].to_vec(),
+        ] {
+            std::fs::write(&path, &damaged).expect("write");
+            assert!(
+                load_checkpoint(&path, run).is_none(),
+                "{} bytes",
+                damaged.len()
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+        assert!(load_checkpoint(&path, run).is_none());
+    }
+
+    #[test]
+    fn cached_serves_a_hit_without_scheduling_an_append() {
+        let store = Store::in_memory();
+        let key = content_hash(b"k");
+        let stored = 7u64.to_canon_bytes();
+        store.insert_batch([(key, stored.clone())]).expect("insert");
+        let mut new_entries = Vec::new();
+        let view = store.view();
+        let (value, hash) = cached(&view, key, &mut new_entries, || -> u64 {
+            panic!("a hit must not recompute")
+        });
+        assert_eq!(value, 7);
+        assert_eq!(hash, content_hash(&stored));
+        assert!(new_entries.is_empty());
+        assert_eq!((view.hits(), view.misses()), (1, 0));
+    }
+
+    #[test]
+    fn cached_recomputes_a_miss_and_undecodable_bytes() {
+        let store = Store::in_memory();
+        let (missing, garbled) = (content_hash(b"missing"), content_hash(b"garbled"));
+        // Three bytes are not a u64.
+        store
+            .insert_batch([(garbled, vec![1, 2, 3])])
+            .expect("insert");
+        let view = store.view();
+        for key in [missing, garbled] {
+            let mut new_entries = Vec::new();
+            let (value, hash) = cached(&view, key, &mut new_entries, || 9u64);
+            assert_eq!(value, 9);
+            assert_eq!(hash, content_hash(&9u64.to_canon_bytes()));
+            assert_eq!(new_entries, vec![(key, 9u64.to_canon_bytes())]);
+        }
+        // An undecodable record is still a store hit; only its bytes fail.
+        assert_eq!((view.hits(), view.misses()), (1, 1));
+    }
+
+    #[test]
+    fn an_in_memory_store_keeps_no_checkpoint() {
+        let store = Store::in_memory();
+        assert_eq!(checkpoint_path(&store), None);
+        let cfg = DseConfig {
+            specs: 2,
+            max_shards: Some(1),
+            ..small_cfg()
+        };
+        let grid = small_grid();
+        let first = explore(&cfg, &grid, &store).expect("first");
+        assert!(!first.completed);
+        assert_eq!(first.specs_explored, 1);
+        // Nothing to resume from: the rerun starts at shard zero again
+        // and replays the first shard from the store.
+        let second = explore(&cfg, &grid, &store).expect("second");
+        assert_eq!(second.resumed_from, 0);
+        assert_eq!(second.specs_explored, 1);
+        assert_eq!(second.store_stats.misses, 0);
+        assert_eq!(
+            first.front.canonical_bytes(),
+            second.front.canonical_bytes()
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_past_the_runs_spec_count_is_ignored() {
+        let path = tmp("ckpt_past_specs");
+        cleanup(&path);
+        let grid = small_grid();
+        let store = Store::open(&path).expect("open");
+        let long = explore(&small_cfg(), &grid, &store).expect("long run");
+        assert!(long.completed);
+        assert_eq!(long.specs_explored, 4);
+        // The checkpoint says 4 shards are done, but this run has only
+        // 2: it starts over, and every lookup hits.
+        let short_cfg = DseConfig {
+            specs: 2,
+            ..small_cfg()
+        };
+        let short = explore(&short_cfg, &grid, &store).expect("short run");
+        assert_eq!(short.resumed_from, 0);
+        assert_eq!(short.specs_explored, 2);
+        assert!(short.completed);
+        assert_eq!(short.candidates_evaluated, 2 * grid.len() as u64);
+        assert!(short.store_stats.hits > 0);
+        assert_eq!(short.store_stats.misses, 0);
+        drop(store);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_checkpoint_resumes_where_it_stopped() {
+        let path = tmp("ckpt_resume");
+        cleanup(&path);
+        let grid = small_grid();
+        let store = Store::open(&path).expect("open");
+        let stopped = explore(
+            &DseConfig {
+                max_shards: Some(2),
+                ..small_cfg()
+            },
+            &grid,
+            &store,
+        )
+        .expect("stopped run");
+        assert!(!stopped.completed);
+        assert_eq!(stopped.specs_explored, 2);
+        let resumed = explore(&small_cfg(), &grid, &store).expect("resumed run");
+        assert_eq!(resumed.resumed_from, 2);
+        assert!(resumed.completed);
+        assert_eq!(resumed.specs_explored, 4);
+        // Counts carried in the checkpoint cover the stopped part too.
+        assert_eq!(resumed.candidates_evaluated, 4 * grid.len() as u64);
+        assert_eq!(resumed.store_stats.hits, 0, "the resumed shards are new");
+        let reference = explore(&small_cfg(), &grid, &Store::in_memory()).expect("reference");
+        assert_eq!(
+            resumed.front.canonical_bytes(),
+            reference.front.canonical_bytes()
+        );
+        assert_eq!(resumed.feasible_points, reference.feasible_points);
+        drop(store);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn every_semantic_knob_rekeys_the_run() {
+        let grid = small_grid();
+        let base = small_cfg();
+        let variants = [
+            DseConfig {
+                tech: TechNode::NM90,
+                ..small_cfg()
+            },
+            DseConfig {
+                utilization_cap: 0.5,
+                ..small_cfg()
+            },
+            DseConfig {
+                cluster_slack: 2,
+                ..small_cfg()
+            },
+            DseConfig {
+                floorplan_chains: 2,
+                ..small_cfg()
+            },
+        ];
+        let mut hashes = vec![base.run_hash(&grid)];
+        hashes.extend(variants.iter().map(|c| c.run_hash(&grid)));
+        // The grid's order is part of the namespace too.
+        let reversed: Vec<Candidate> = grid.iter().rev().copied().collect();
+        hashes.push(base.run_hash(&reversed));
+        let mut distinct = hashes.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), hashes.len(), "{hashes:?}");
+    }
+
     #[test]
     fn run_hash_namespaces_configs() {
         let grid = small_grid();

@@ -166,6 +166,49 @@ mod tests {
     }
 
     #[test]
+    fn dominance_is_strict_on_one_axis_at_least() {
+        let p = pt(0, 10.0, 5.0);
+        assert!(!p.dominates(&p), "a point never dominates itself");
+        assert!(pt(1, 9.0, 5.0).dominates(&p), "cheaper, equally fast");
+        assert!(pt(1, 10.0, 4.0).dominates(&p), "equally cheap, faster");
+        assert!(!pt(1, 9.0, 6.0).dominates(&p), "a trade-off");
+        assert!(!p.dominates(&pt(1, 9.0, 6.0)));
+        // Other fields play no part.
+        let mut q = pt(7, 10.0, 5.0);
+        q.area_um2 = 1.0;
+        assert!(!q.dominates(&p) && !p.dominates(&q));
+    }
+
+    #[test]
+    fn equal_points_from_different_specs_are_both_kept() {
+        let mut f = ParetoFront::new();
+        f.offer(pt(0, 10.0, 5.0));
+        f.offer(pt(1, 10.0, 5.0));
+        assert_eq!(f.points().len(), 2);
+        let indices: Vec<u64> = f.points().iter().map(|p| p.spec_index).collect();
+        assert_eq!(indices, vec![0, 1], "insertion order");
+        // A dominated offer still counts as offered.
+        f.offer(pt(2, 11.0, 5.0));
+        assert_eq!(f.points().len(), 2);
+        assert_eq!(f.offered(), 3);
+    }
+
+    #[test]
+    fn truncated_front_bytes_do_not_decode() {
+        let mut f = ParetoFront::new();
+        f.offer(pt(0, 10.0, 5.0));
+        f.offer(pt(1, 12.0, 4.0));
+        let bytes = f.to_canon_bytes();
+        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                ParetoFront::from_canon_bytes(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        assert!(ParetoFront::from_canon_bytes(&[bytes.as_slice(), &[0]].concat()).is_err());
+    }
+
+    #[test]
     fn front_round_trips() {
         let mut f = ParetoFront::new();
         f.offer(pt(0, 10.0, 5.0));

@@ -173,6 +173,43 @@ mod tests {
     }
 
     #[test]
+    fn mesh_shape_fits_every_core_with_no_spare_row() {
+        assert_eq!(mesh_shape(0), (0, 0));
+        assert_eq!(mesh_shape(1), (1, 1));
+        assert_eq!(mesh_shape(5), (2, 3));
+        assert_eq!(mesh_shape(16), (4, 4));
+        assert_eq!(mesh_shape(17), (4, 5));
+        for n in 1..=300 {
+            let (rows, cols) = mesh_shape(n);
+            assert!(rows * cols >= n, "{n} cores fit");
+            assert!(rows * cols - n < cols, "{n} cores: no empty row");
+            assert!(rows <= cols, "{n} cores: wider than tall");
+        }
+    }
+
+    #[test]
+    fn an_unknown_family_tag_is_a_decode_error() {
+        let mut bytes = default_grid()[0].to_canon_bytes();
+        bytes[0] = 2;
+        assert_eq!(
+            Candidate::from_canon_bytes(&bytes),
+            Err(CanonError::BadTag {
+                what: "TopologyFamily",
+                tag: 2
+            })
+        );
+    }
+
+    #[test]
+    fn candidates_are_evaluated_with_input_buffers_only() {
+        for c in default_grid() {
+            let opts = c.eval_options();
+            assert_eq!((opts.buffer_depth, opts.vcs), (c.buffer_depth, c.vcs));
+            assert!(!opts.output_buffers);
+        }
+    }
+
+    #[test]
     fn labels_are_readable() {
         let g = default_grid();
         assert_eq!(g[0].label(), "custom4/w32/400MHz/b2v1");

@@ -877,6 +877,341 @@ mod tests {
         assert_eq!(stats.misses, 2 * rounds * misses);
     }
 
+    #[test]
+    fn four_lane_fnv_equals_four_serial_chains() {
+        let long: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        let cases: [[&[u8]; 4]; 4] = [
+            [b"", b"", b"", b""],
+            [b"a", b"", b"abc", b"ab"],
+            [&long, &long[..1], &long[..299], b"x"],
+            [&long[5..], &long[..64], &long[1..], &long[..65]],
+        ];
+        for bodies in cases {
+            let expected = bodies.map(reference_fnv1a64);
+            assert_eq!(
+                fnv1a64_x4(bodies),
+                expected,
+                "lengths {:?}",
+                bodies.map(<[u8]>::len)
+            );
+        }
+    }
+
+    #[test]
+    fn a_fresh_file_holds_exactly_the_magic() {
+        let path = tmp("fresh");
+        let _ = std::fs::remove_file(&path);
+        let store = Store::open(&path).expect("open");
+        assert!(store.is_empty());
+        assert_eq!(store.path(), Some(path.as_path()));
+        assert_eq!(store.stats(), StoreStats::default());
+        drop(store);
+        assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
+        // Reopening a store of no records adds nothing.
+        let store = Store::open(&path).expect("reopen");
+        assert!(store.is_empty());
+        drop(store);
+        assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn open_rejects_a_file_without_the_magic_and_leaves_it_alone() {
+        let path = tmp("no_magic");
+        let foreign = b"NOCDSE0\nsomething else entirely".to_vec();
+        std::fs::write(&path, &foreign).expect("write");
+        let err = Store::open(&path).expect_err("a foreign file must not open");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).expect("read"), foreign);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn open_rejects_a_file_shorter_than_the_magic() {
+        let path = tmp("short_magic");
+        std::fs::write(&path, &MAGIC[..5]).expect("write");
+        let err = Store::open(&path).expect_err("a stub must not open");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).expect("read"), &MAGIC[..5]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn in_memory_store_has_no_path_and_serves_its_entries() {
+        let store = Store::in_memory();
+        assert_eq!(store.path(), None);
+        assert!(store.is_empty());
+        let k = content_hash(b"mem");
+        store.insert_batch([(k, b"v".to_vec())]).expect("insert");
+        assert_eq!(store.len(), 1);
+        assert!(!store.is_empty());
+        assert_eq!(store.get(k).as_deref(), Some(b"v".as_ref()));
+        assert_eq!(store.get(content_hash(b"absent")), None);
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 1));
+    }
+
+    #[test]
+    fn reinsertion_keeps_the_first_value_and_appends_nothing() {
+        let path = tmp("reinsert");
+        let _ = std::fs::remove_file(&path);
+        let (k1, k2) = (content_hash(b"one"), content_hash(b"two"));
+        let store = Store::open(&path).expect("open");
+        // Of two entries of one key in a batch, the first is kept.
+        store
+            .insert_batch([(k1, b"first".to_vec()), (k1, b"second".to_vec())])
+            .expect("insert");
+        let after_first = std::fs::metadata(&path).expect("stat").len();
+        // A key already held is not rewritten, in memory or on disk.
+        store
+            .insert_batch([(k1, b"third".to_vec()), (k2, b"two".to_vec())])
+            .expect("insert");
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.get(k1).as_deref(), Some(b"first".as_ref()));
+        drop(store);
+        let mut expected = MAGIC.to_vec();
+        expected.extend(reference_record(&k1.0, b"first"));
+        assert_eq!(after_first, expected.len() as u64);
+        expected.extend(reference_record(&k2.0, b"two"));
+        assert_eq!(std::fs::read(&path).expect("read"), expected);
+        // A key loaded from the file is held too.
+        let store = Store::open(&path).expect("reopen");
+        store
+            .insert_batch([(k2, b"changed".to_vec())])
+            .expect("insert");
+        assert_eq!(store.get(k2).as_deref(), Some(b"two".as_ref()));
+        drop(store);
+        assert_eq!(std::fs::read(&path).expect("read"), expected);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_empty_batch_appends_nothing() {
+        let path = tmp("empty_batch");
+        let _ = std::fs::remove_file(&path);
+        let store = Store::open(&path).expect("open");
+        store.insert_batch([]).expect("empty batch");
+        assert!(store.is_empty());
+        assert_eq!(store.records.read().expect("lock").segments.len(), 1);
+        drop(store);
+        assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_empty_payload_is_a_hit_not_a_miss() {
+        let path = tmp("empty_payload");
+        let _ = std::fs::remove_file(&path);
+        let k = content_hash(b"nothing");
+        {
+            let store = Store::open(&path).expect("open");
+            store.insert_batch([(k, Vec::new())]).expect("insert");
+            assert_eq!(store.get(k), Some(Vec::new()));
+        }
+        let store = Store::open(&path).expect("reopen");
+        assert_eq!(store.get(k), Some(Vec::new()));
+        assert_eq!(store.stats().hits, 1);
+        assert_eq!(store.stats().misses, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn hit_rate_is_hits_over_lookups() {
+        let rate = |hits, misses| {
+            StoreStats {
+                hits,
+                misses,
+                ..StoreStats::default()
+            }
+            .hit_rate()
+        };
+        assert_eq!(rate(0, 0), 1.0);
+        assert_eq!(rate(3, 1), 0.75);
+        assert_eq!(rate(0, 5), 0.0);
+        assert_eq!(rate(7, 0), 1.0);
+    }
+
+    #[test]
+    fn reset_counters_keeps_the_open_time_facts() {
+        let path = tmp("reset_keeps_facts");
+        let _ = std::fs::remove_file(&path);
+        let (k1, k2) = (content_hash(b"alpha"), content_hash(b"beta"));
+        {
+            let store = Store::open(&path).expect("open");
+            store
+                .insert_batch([(k1, b"payload-one".to_vec()), (k2, b"payload-two".to_vec())])
+                .expect("insert");
+        }
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[MAGIC.len() + HEADER] ^= 0xFF;
+        bytes.extend_from_slice(&[1, 2, 3]);
+        std::fs::write(&path, &bytes).expect("write");
+        let store = Store::open(&path).expect("reopen");
+        assert_eq!(store.get(k1), None);
+        assert!(store.get(k2).is_some());
+        store.reset_counters();
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                hits: 0,
+                misses: 0,
+                corrupt: 1,
+                truncated_bytes: 3,
+            }
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_view_adds_its_counts_to_the_store_when_dropped() {
+        let store = Store::in_memory();
+        let k = content_hash(b"here");
+        store.insert_batch([(k, b"x".to_vec())]).expect("insert");
+        let view = store.view();
+        assert_eq!(view.get(k), Some(b"x".as_ref()));
+        assert_eq!(view.get(k), Some(b"x".as_ref()));
+        assert_eq!(view.get(content_hash(b"gone")), None);
+        assert_eq!((view.hits(), view.misses()), (2, 1));
+        assert_eq!(store.stats().hits, 0, "counted locally until dropped");
+        assert_eq!(store.stats().misses, 0);
+        drop(view);
+        assert_eq!((store.stats().hits, store.stats().misses), (2, 1));
+        // A second view starts from zero and adds on top.
+        let view = store.view();
+        assert_eq!((view.hits(), view.misses()), (0, 0));
+        view.get(k);
+        drop(view);
+        assert_eq!((store.stats().hits, store.stats().misses), (3, 1));
+    }
+
+    #[test]
+    fn a_view_serves_every_segment() {
+        let path = tmp("segments");
+        let _ = std::fs::remove_file(&path);
+        let keys: Vec<ContentHash> = (0..9u32).map(|i| content_hash(&i.to_le_bytes())).collect();
+        {
+            let store = Store::open(&path).expect("open");
+            store
+                .insert_batch(keys[..3].iter().map(|&k| (k, k.0[..3].to_vec())))
+                .expect("segment 1");
+        }
+        let store = Store::open(&path).expect("reopen");
+        for batch in [3..6, 6..9] {
+            store
+                .insert_batch(keys[batch].iter().map(|&k| (k, k.0[..3].to_vec())))
+                .expect("later segment");
+        }
+        assert_eq!(store.records.read().expect("lock").segments.len(), 3);
+        let view = store.view();
+        for k in &keys {
+            assert_eq!(view.get(*k), Some(&k.0[..3]));
+        }
+        drop(view);
+        drop(store);
+        // Every segment reached the file, in insertion order.
+        let mut expected = MAGIC.to_vec();
+        for k in &keys {
+            expected.extend(reference_record(&k.0, &k.0[..3]));
+        }
+        assert_eq!(std::fs::read(&path).expect("read"), expected);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The index hashes a key by its first 8 bytes alone, so keys that
+    /// share them land in one bucket and must still stay apart.
+    #[test]
+    fn keys_sharing_an_index_prefix_stay_distinct() {
+        let key = |tail: u8| {
+            let mut k = [0xAB; 16];
+            k[8..].fill(tail);
+            ContentHash(k)
+        };
+        let mut first = PrefixHasher::default();
+        IndexKey(key(1).0).hash(&mut first);
+        let mut second = PrefixHasher::default();
+        IndexKey(key(2).0).hash(&mut second);
+        assert_eq!(first.finish(), 0xABAB_ABAB_ABAB_ABAB);
+        assert_eq!(first.finish(), second.finish());
+        let path = tmp("prefix_collision");
+        let _ = std::fs::remove_file(&path);
+        {
+            let store = Store::open(&path).expect("open");
+            store
+                .insert_batch((1..=4).map(|t| (key(t), vec![t; t as usize])))
+                .expect("insert");
+        }
+        let store = Store::open(&path).expect("reopen");
+        assert_eq!(store.len(), 4);
+        for t in 1..=4 {
+            assert_eq!(store.get(key(t)), Some(vec![t; t as usize]), "tail {t}");
+        }
+        assert_eq!(store.get(key(5)), None);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_last_valid_record_of_a_key_wins_at_open() {
+        let path = tmp("last_wins");
+        let k = content_hash(b"twice");
+        let other = content_hash(b"between");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(reference_record(&k.0, b"old"));
+        bytes.extend(reference_record(&other.0, b"o"));
+        bytes.extend(reference_record(&k.0, b"new"));
+        std::fs::write(&path, &bytes).expect("write");
+        let store = Store::open(&path).expect("open");
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.get(k).as_deref(), Some(b"new".as_ref()));
+        assert_eq!(store.get(other).as_deref(), Some(b"o".as_ref()));
+        assert_eq!(store.stats().corrupt, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_length_past_the_end_of_the_file_is_a_torn_tail() {
+        let path = tmp("huge_len");
+        let k = content_hash(b"kept");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(reference_record(&k.0, b"fine"));
+        let good = bytes.len();
+        bytes.extend_from_slice(&content_hash(b"bogus").0);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(b"a few payload bytes");
+        std::fs::write(&path, &bytes).expect("write");
+        let store = Store::open(&path).expect("open");
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(k).as_deref(), Some(b"fine".as_ref()));
+        assert_eq!(store.stats().corrupt, 0);
+        assert_eq!(store.stats().truncated_bytes, (bytes.len() - good) as u64);
+        drop(store);
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), good as u64);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Corrupt records are skipped, not cut: only a torn tail is
+    /// removed from the file, so a later valid record stays reachable.
+    #[test]
+    fn corrupt_records_stay_on_disk_and_valid_ones_after_them_load() {
+        let path = tmp("corrupt_kept");
+        let keys: Vec<ContentHash> = (0..3u8).map(|i| content_hash(&[i])).collect();
+        let mut bytes = MAGIC.to_vec();
+        let mut starts = Vec::new();
+        for k in &keys {
+            starts.push(bytes.len());
+            bytes.extend(reference_record(&k.0, b"value"));
+        }
+        bytes[starts[0] + HEADER] ^= 1;
+        bytes[starts[1] + 2] ^= 1;
+        std::fs::write(&path, &bytes).expect("write");
+        let store = Store::open(&path).expect("open");
+        assert_eq!(store.stats().corrupt, 2);
+        assert_eq!(store.stats().truncated_bytes, 0);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(keys[2]).as_deref(), Some(b"value".as_ref()));
+        drop(store);
+        assert_eq!(std::fs::read(&path).expect("read"), bytes);
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// Two handles on one file: each appends at the file's real end,
     /// not at the end it saw when it opened.
     #[test]

@@ -413,6 +413,32 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_thread_request_runs_on_one_thread() {
+        let runner = ParRunner::with_threads(0);
+        assert_eq!(runner.threads(), 1);
+        assert_eq!(ParRunner::serial().threads(), 1);
+        let out = runner.run(4, &[1u32, 2, 3], |&p, s| (p, s));
+        assert_eq!(
+            out,
+            ParRunner::serial().run(4, &[1u32, 2, 3], |&p, s| (p, s))
+        );
+    }
+
+    #[test]
+    fn more_workers_than_points_visit_each_point_once() {
+        let visits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+        let points: Vec<usize> = (0..3).collect();
+        let out = ParRunner::with_threads(16).run(0, &points, |&p, _| {
+            visits[p].fetch_add(1, Ordering::Relaxed);
+            p + 1
+        });
+        assert_eq!(out, vec![1, 2, 3]);
+        for (p, v) in visits.iter().enumerate() {
+            assert_eq!(v.load(Ordering::Relaxed), 1, "point {p}");
+        }
+    }
+
+    #[test]
     fn empty_and_single_point_runs() {
         let none: Vec<u32> = ParRunner::new().run(0, &[], |&p: &u32, _| p);
         assert!(none.is_empty());

@@ -821,6 +821,94 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_hasher_is_the_hash_of_no_bytes() {
+        assert_eq!(ContentHasher::new().finish(), content_hash(b""));
+        assert_eq!(ContentHasher::default().finish(), content_hash(b""));
+        let mut h = ContentHasher::new();
+        h.write(b"");
+        assert_eq!(h.finish(), content_hash(b""));
+    }
+
+    #[test]
+    fn finish_leaves_the_hasher_able_to_continue() {
+        let mut h = ContentHasher::new();
+        h.write(b"prefix");
+        let early = h.finish();
+        assert_eq!(h.finish(), early, "finish is pure");
+        assert_eq!(early, content_hash(b"prefix"));
+        h.write(b"-suffix");
+        assert_eq!(h.finish(), content_hash(b"prefix-suffix"));
+    }
+
+    #[test]
+    fn a_part_is_its_length_then_its_bytes() {
+        let mut framed = ContentHasher::new();
+        framed.part(b"abc");
+        let mut by_hand = ContentHasher::new();
+        by_hand.write(&3u64.to_le_bytes());
+        by_hand.write(b"abc");
+        assert_eq!(framed.finish(), by_hand.finish());
+        let mut whole = 3u64.to_le_bytes().to_vec();
+        whole.extend_from_slice(b"abc");
+        assert_eq!(framed.finish(), content_hash(&whole));
+    }
+
+    #[test]
+    fn the_part_count_and_empty_parts_are_hashed() {
+        assert_ne!(hash_parts("t", &[]), hash_parts("t", &[b""]));
+        assert_ne!(hash_parts("t", &[b"x"]), hash_parts("t", &[b"x", b""]));
+        assert_ne!(hash_parts("t", &[b"", b"x"]), hash_parts("t", &[b"x", b""]));
+        // The tag is framed like a part: it cannot run into the first.
+        assert_ne!(hash_parts("ab", &[b"c"]), hash_parts("a", &[b"bc"]));
+        let mut h = ContentHasher::tagged("t", 2);
+        h.part(b"x");
+        h.part(b"");
+        assert_eq!(h.finish(), hash_parts("t", &[b"x", b""]));
+        // A prefix declared with the wrong count does not match.
+        let mut h = ContentHasher::tagged("t", 1);
+        h.part(b"x");
+        h.part(b"");
+        assert_ne!(h.finish(), hash_parts("t", &[b"x", b""]));
+    }
+
+    #[test]
+    fn a_copied_prefix_state_extends_independently() {
+        let mut prefix = ContentHasher::tagged("cand", 3);
+        prefix.part(b"run");
+        let mut a = prefix;
+        a.part(b"spec-a");
+        a.part(b"tail");
+        let mut b = prefix;
+        b.part(b"spec-b");
+        b.part(b"tail");
+        assert_eq!(
+            a.finish(),
+            hash_parts("cand", &[b"run", b"spec-a", b"tail"])
+        );
+        assert_eq!(
+            b.finish(),
+            hash_parts("cand", &[b"run", b"spec-b", b"tail"])
+        );
+        // Extending the copies left the prefix untouched.
+        let mut again = prefix;
+        again.part(b"spec-a");
+        again.part(b"tail");
+        assert_eq!(again.finish(), a.finish());
+    }
+
+    #[test]
+    fn hex_display_and_fold_render_the_hash_bytes() {
+        let mut bytes = [0u8; 16];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = (i as u8) * 17;
+        }
+        let h = ContentHash(bytes);
+        assert_eq!(h.hex(), "00112233445566778899aabbccddeeff");
+        assert_eq!(h.to_string(), h.hex());
+        assert_eq!(h.fold_u64(), 0x7766_5544_3322_1100);
+    }
+
+    #[test]
     fn spec_hash_tracks_content() {
         let a = presets::tiny_quad();
         let b = presets::tiny_quad();
