@@ -84,6 +84,18 @@ tier1() {
     echo "$dups" >&2
     exit 1
   fi
+  # Product code exports nothing that exists only for tests: a hook a
+  # test needs lives under #[cfg(test)] in the crate that owns it. The
+  # benchmark package is a separate program and is not checked.
+  echo "==> tier-1: no #[doc(hidden)] hooks in product code"
+  local hidden
+  hidden=$(grep -rn --include='*.rs' --exclude-dir=target \
+    --exclude-dir=noc_benchmark -F '#[doc(hidden)]' crates/ || true)
+  if [[ -n $hidden ]]; then
+    echo "ci.sh: #[doc(hidden)] items in product code:" >&2
+    echo "$hidden" >&2
+    exit 1
+  fi
   # The debug run above already includes the engine parity suite — one
   # Simulator type, scan == event == sharded at 1/2/4/8 workers, incl.
   # faults, online recovery, GALS and TDMA (with conservation

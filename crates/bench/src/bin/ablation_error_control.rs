@@ -23,6 +23,7 @@
 //! actually engages (NACK retransmissions, hop retries, FEC
 //! corrections).
 
+use noc::par::ParRunner;
 use noc_bench::{banner, table};
 use noc_power::error_model::{ErrorControlModel, ResilienceScheme};
 use noc_power::technology::TechNode;
@@ -30,7 +31,6 @@ use noc_sim::config::{ErrorControl, SimConfig};
 use noc_sim::engine::Simulator;
 use noc_sim::patterns;
 use noc_sim::stats::ErrorControlStats;
-use noc_sim::sweep::SweepRunner;
 use noc_spec::fault::{CorruptionEvent, FaultPlan};
 use noc_spec::units::Hertz;
 use noc_spec::CoreId;
@@ -153,7 +153,7 @@ fn main() {
         .iter()
         .flat_map(|&b| SCHEMES.iter().map(move |&s| (s, b)))
         .collect();
-    let results = SweepRunner::new().run(0xEC_A8, &points, eval_point);
+    let results = ParRunner::new().run(0xEC_A8, &points, eval_point);
 
     let model = ErrorControlModel::new(TechNode::NM65);
     let m = teraflops();

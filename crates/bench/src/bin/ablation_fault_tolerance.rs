@@ -9,12 +9,12 @@
 //! survive (partition or turn-stranding) are redrawn from a derived
 //! seed, so the whole sweep is reproducible run to run.
 
+use noc::par::ParRunner;
 use noc_bench::{banner, table};
 use noc_sim::config::SimConfig;
 use noc_sim::engine::Simulator;
 use noc_sim::fault::install_fault_plan;
 use noc_sim::patterns;
-use noc_sim::sweep::SweepRunner;
 use noc_spec::fault::{FaultPlan, FaultScenario, FaultTarget};
 use noc_spec::CoreId;
 use noc_topology::generators::{mesh, Mesh};
@@ -106,7 +106,7 @@ fn main() {
         .iter()
         .flat_map(|&f| LOADS.iter().map(move |&l| (f, l)))
         .collect();
-    let results = SweepRunner::new().run(0xFA_17, &points, eval_point);
+    let results = ParRunner::new().run(0xFA_17, &points, eval_point);
 
     let baseline = |load: f64| -> f64 {
         points

@@ -16,6 +16,7 @@
 //! detection/reroute latencies, and zero recovery actions on the
 //! fault-free points (no pre-fault detours).
 
+use noc::par::ParRunner;
 use noc_bench::{banner, table};
 use noc_sim::config::SimConfig;
 use noc_sim::engine::Simulator;
@@ -23,7 +24,6 @@ use noc_sim::fault::install_fault_plan;
 use noc_sim::patterns;
 use noc_sim::recovery::OnlineRecovery;
 use noc_sim::stats::RecoveryStats;
-use noc_sim::sweep::SweepRunner;
 use noc_spec::fault::{FaultPlan, FaultScenario, FaultTarget, RecoveryConfig};
 use noc_spec::CoreId;
 use noc_topology::generators::{mesh, Mesh};
@@ -150,7 +150,7 @@ fn main() {
         .iter()
         .flat_map(|&f| LOADS.iter().map(move |&l| (f, l)))
         .collect();
-    let results = SweepRunner::new().run(0xFA_17, &points, eval_point);
+    let results = ParRunner::new().run(0xFA_17, &points, eval_point);
 
     let mut rows = Vec::new();
     for ((faults, load), r) in points.iter().zip(&results) {

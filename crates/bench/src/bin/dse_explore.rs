@@ -15,9 +15,11 @@
 //! byte-identical front.
 //!
 //! `--ci-smoke` runs the acceptance protocol in a temp directory: a
-//! cold exploration, a warm re-run that must be 100% cache hits with a
-//! bit-identical front, and a killed-then-resumed run whose front must
-//! equal the cold one. Exits nonzero on any violation.
+//! cold exploration; a warm re-run of the reopened store without its
+//! checkpoint, which must replay every shard, hit the cache on every
+//! lookup and reach a bit-identical front; and a killed-then-resumed
+//! run whose front must equal the cold one. Exits nonzero on any
+//! violation.
 
 use noc::dse::{default_grid, explore, DseConfig, Store};
 use std::process::ExitCode;
@@ -108,13 +110,15 @@ fn run_once(args: &Args) -> ExitCode {
         report.specs_explored as f64 / secs.max(1e-9),
         report.resumed_from,
     );
+    let rate = if stats.hits + stats.misses == 0 {
+        "no lookups".to_string()
+    } else {
+        format!("{:.1}% hit rate", stats.hit_rate() * 100.0)
+    };
     println!(
-        "dse_explore: cache: {} hits / {} misses ({:.1}% hit rate), \
+        "dse_explore: cache: {} hits / {} misses ({rate}), \
          {} corrupt record(s) skipped",
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0,
-        stats.corrupt,
+        stats.hits, stats.misses, stats.corrupt,
     );
     println!(
         "dse_explore: structures: {} reused / {} built \
@@ -176,7 +180,8 @@ fn ci_smoke_in(args: &Args, dir: &std::path::Path) -> ExitCode {
     };
 
     // 1. Cold exploration.
-    let cold_store = match Store::open(dir.join("cold.dse")) {
+    let cold_path = dir.join("cold.dse");
+    let cold_store = match Store::open(&cold_path) {
         Ok(s) => s,
         Err(e) => return fail(&format!("cold store: {e}")),
     };
@@ -201,13 +206,32 @@ fn ci_smoke_in(args: &Args, dir: &std::path::Path) -> ExitCode {
     );
 
     // 2. Warm re-run must be pure cache replay with an identical front.
-    cold_store.reset_counters();
+    // The cold run's checkpoint says every shard is done, so a run that
+    // kept it would resume past the last shard and look nothing up.
+    // Drop it and reopen the file, as a second process would see it.
+    drop(cold_store);
+    if let Err(e) = std::fs::remove_file(dir.join("cold.dse.ckpt")) {
+        return fail(&format!("cold checkpoint: {e}"));
+    }
+    let warm_store = match Store::open(&cold_path) {
+        Ok(s) => s,
+        Err(e) => return fail(&format!("warm store reopen: {e}")),
+    };
     let t1 = Instant::now();
-    let warm = match explore(&cfg, &grid, &cold_store) {
+    let warm = match explore(&cfg, &grid, &warm_store) {
         Ok(r) => r,
         Err(e) => return fail(&format!("warm run: {e}")),
     };
     let warm_secs = t1.elapsed().as_secs_f64();
+    if warm.resumed_from != 0 {
+        return fail(&format!(
+            "warm run resumed from shard {}; it must replay every shard",
+            warm.resumed_from
+        ));
+    }
+    if warm.store_stats.hits == 0 {
+        return fail("warm run made no cache lookups");
+    }
     if warm.store_stats.misses != 0 {
         return fail(&format!(
             "warm run missed the cache {} time(s); expected 100% hits",
@@ -261,13 +285,14 @@ fn ci_smoke_in(args: &Args, dir: &std::path::Path) -> ExitCode {
 
     println!(
         "dse_explore: ci-smoke OK: {} specs x {} candidates; cold {:.2}s, \
-         warm {:.2}s ({:.0}x speedup, 100% hits), kill@{kill_at}+resume \
-         front byte-identical ({} Pareto points)",
+         warm {:.2}s ({:.0}x speedup, all {} lookups hit), \
+         kill@{kill_at}+resume front byte-identical ({} Pareto points)",
         cfg.specs,
         grid.len(),
         cold_secs,
         warm_secs,
         cold_secs / warm_secs.max(1e-9),
+        warm.store_stats.hits,
         cold.front.points().len(),
     );
     ExitCode::SUCCESS

@@ -6,11 +6,11 @@
 //! routers at 3.16 GHz under message-passing traffic, and reports where
 //! the fabric sustains the paper's 1.62 Tb/s figure.
 
+use noc::par::ParRunner;
 use noc_bench::{banner, table};
 use noc_sim::config::SimConfig;
 use noc_sim::engine::Simulator;
 use noc_sim::patterns;
-use noc_sim::sweep::SweepRunner;
 use noc_spec::units::Hertz;
 use noc_spec::CoreId;
 use noc_topology::generators::mesh;
@@ -33,7 +33,7 @@ fn main() {
         aggregate_link_bandwidth(&fabric.topology, clock).to_gbps() / 1000.0
     );
     let rates = [0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4];
-    let runner = SweepRunner::new();
+    let runner = ParRunner::new();
     println!(
         "sweeping {} load points on {} workers",
         rates.len(),

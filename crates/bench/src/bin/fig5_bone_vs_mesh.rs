@@ -6,11 +6,11 @@
 //! Regenerates the comparison: the same memory-swap traffic simulated on
 //! the hierarchical star and on a conventional mesh.
 
+use noc::par::ParRunner;
 use noc_bench::{banner, table};
 use noc_sim::config::SimConfig;
 use noc_sim::engine::Simulator;
 use noc_sim::setup::{flow_endpoints, flow_sources};
-use noc_sim::sweep::SweepRunner;
 use noc_spec::presets;
 use noc_spec::units::Hertz;
 use noc_spec::CoreId;
@@ -84,7 +84,7 @@ fn main() {
         ("hier star (BONE)", &star.topology, &star_routes),
         ("2D quasi-mesh", &mesh.topology, &mesh_routes),
     ];
-    let rows = SweepRunner::new().run(SWEEP_SEED, &points, |&(name, topo, routes), seed| {
+    let rows = ParRunner::new().run(SWEEP_SEED, &points, |&(name, topo, routes), seed| {
         run_on(name, topo, routes, seed)
     });
     print!(

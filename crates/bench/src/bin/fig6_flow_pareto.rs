@@ -5,11 +5,11 @@
 //! usually heterogeneous in nature").
 
 use noc::flow::{run_flow, FlowConfig};
+use noc::par::ParRunner;
 use noc::report::pareto_table;
 use noc_bench::{banner, table};
 use noc_floorplan::core_plan::CoreFloorplan;
 use noc_power::technology::TechNode;
-use noc_sim::sweep::SweepRunner;
 use noc_spec::presets;
 use noc_spec::units::Hertz;
 use noc_synth::mapping::map_to_mesh;
@@ -38,11 +38,11 @@ fn main() {
     print!("{}", pareto_table(&outcome));
 
     // Regular mapping baselines at the same clocks — the two mesh
-    // mappings are independent points, so evaluate them via the sweep
+    // mappings are independent points, so evaluate them via the parallel
     // runner (mapping is seed-free; the derived seed is unused).
     println!("\nregular 5x6 mesh mapping (SUNMAP-style baseline):");
     let clocks = [Hertz::from_mhz(400), Hertz::from_mhz(650)];
-    let baselines = SweepRunner::new().run(6, &clocks, |&clock, _seed| {
+    let baselines = ParRunner::new().run(6, &clocks, |&clock, _seed| {
         map_to_mesh(&spec, 5, 6, clock, 32, TechNode::NM65, Some(&floorplan)).expect("mappable")
     });
     let rows: Vec<Vec<String>> = clocks

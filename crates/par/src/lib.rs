@@ -2,10 +2,12 @@
 //!
 //! Five layers of the toolkit evaluate many independent points and
 //! must produce **bit-identical results to a serial run**: the
-//! simulator's parameter sweeps (`noc_sim::sweep`), the SunFloor
-//! synthesis candidate fan-out (`noc_synth::sunfloor::synthesize`,
-//! which explores `(switch count, link width, clock)` triples), the
-//! floorplanner's multi-chain annealing restarts
+//! simulator parameter sweeps of the `noc-bench` figure and ablation
+//! binaries (one `Simulator` per point, seeded with the point's seed),
+//! the SunFloor synthesis candidate fan-out
+//! (`noc_synth::sunfloor::synthesize`, which explores `(switch count,
+//! link width, clock)` triples), the floorplanner's multi-chain
+//! annealing restarts
 //! (`noc_floorplan::slicing::SlicingFloorplanner::run_multi`, which
 //! picks the best of N independent chains by `(cost, chain index)`),
 //! the design flow's verification of its Pareto designs
@@ -22,7 +24,9 @@
 //!   returned `Vec` is in point order regardless of which worker ran
 //!   which point;
 //! - any reduction the caller performs afterwards must itself be
-//!   order-insensitive or run over the point-ordered `Vec`;
+//!   order-insensitive or run over the point-ordered `Vec` (a sweep's
+//!   `noc_sim::SimStats` fold with `SimStats::merge`, which is
+//!   commutative and associative, is both);
 //! - a panicking point re-raises, with its own payload, the panic a
 //!   serial run would have raised first: that of the lowest-index
 //!   panicking point.
@@ -52,7 +56,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Derives the RNG seed of point `index` from the run's base seed.
 ///
@@ -69,125 +73,10 @@ pub fn point_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A machine-wide worker-thread budget, shared by every parallel layer
-/// that might nest (sweeps of partitioned simulations, DSE shard
-/// fan-out over sweeps, …).
-///
-/// Nested parallelism multiplies: a sweep on `C` cores whose every
-/// point runs a `W`-worker partitioned simulation would ask for `C×W`
-/// threads. A budget caps the *total*: each layer `reserve`s the
-/// worker count it wants and receives a (possibly smaller) lease; the
-/// threads return to the pool when the lease drops. Leases only shape
-/// **how many workers** execute a run — never its result: every
-/// consumer's output is independent of its worker count by the
-/// determinism contract, so budget pressure can slow a run down but
-/// cannot change what it computes.
-#[derive(Debug)]
-pub struct ThreadBudget {
-    limit: usize,
-    in_use: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl ThreadBudget {
-    /// A budget allowing at most `limit` concurrently leased worker
-    /// threads (clamped to at least 1).
-    pub fn new(limit: usize) -> ThreadBudget {
-        ThreadBudget {
-            limit: limit.max(1),
-            in_use: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-        }
-    }
-
-    /// The process-wide default budget: one worker per available core.
-    pub fn global() -> &'static Arc<ThreadBudget> {
-        static GLOBAL: OnceLock<Arc<ThreadBudget>> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            Arc::new(ThreadBudget::new(cores))
-        })
-    }
-
-    /// The maximum number of concurrently leased threads.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Threads currently leased.
-    pub fn in_use(&self) -> usize {
-        self.in_use.load(Ordering::Relaxed)
-    }
-
-    /// The high-water mark of concurrently leased threads (test and
-    /// diagnostic use: an oversubscription guard asserts `peak ≤
-    /// limit`).
-    pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// Reserves up to `want` worker threads, returning a lease for
-    /// `min(want, what's left)` — possibly **0** when the budget is
-    /// exhausted, in which case the caller runs serially on its own
-    /// thread (which is not budget-counted: it is already accounted for
-    /// by whichever lease spawned it, or is the process's root thread).
-    /// This keeps the invariant `peak() ≤ limit()` exact.
-    pub fn reserve(self: &Arc<ThreadBudget>, want: usize) -> ThreadLease {
-        let mut granted;
-        loop {
-            let used = self.in_use.load(Ordering::Relaxed);
-            let free = self.limit.saturating_sub(used);
-            granted = want.min(free);
-            match self.in_use.compare_exchange(
-                used,
-                used + granted,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(_) => continue,
-            }
-        }
-        self.peak
-            .fetch_max(self.in_use.load(Ordering::Relaxed), Ordering::Relaxed);
-        ThreadLease {
-            budget: Arc::clone(self),
-            granted,
-        }
-    }
-}
-
-/// A granted slice of a [`ThreadBudget`]; the threads return to the
-/// pool on drop.
-#[derive(Debug)]
-pub struct ThreadLease {
-    budget: Arc<ThreadBudget>,
-    granted: usize,
-}
-
-impl ThreadLease {
-    /// How many worker threads this lease grants.
-    pub fn granted(&self) -> usize {
-        self.granted
-    }
-}
-
-impl Drop for ThreadLease {
-    fn drop(&mut self) {
-        self.budget
-            .in_use
-            .fetch_sub(self.granted, Ordering::Relaxed);
-    }
-}
-
 /// A multi-threaded runner for independent work items.
 #[derive(Debug, Clone)]
 pub struct ParRunner {
     threads: usize,
-    /// Optional budget the runner reserves its workers from per `run`.
-    budget: Option<Arc<ThreadBudget>>,
 }
 
 impl Default for ParRunner {
@@ -202,39 +91,23 @@ impl ParRunner {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        ParRunner {
-            threads,
-            budget: None,
-        }
+        ParRunner { threads }
     }
 
     /// A runner with an explicit worker count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> ParRunner {
         ParRunner {
             threads: threads.max(1),
-            budget: None,
         }
     }
 
     /// A single-threaded runner — the reference executor the parallel
     /// runs must match bit-for-bit.
     pub fn serial() -> ParRunner {
-        ParRunner {
-            threads: 1,
-            budget: None,
-        }
+        ParRunner { threads: 1 }
     }
 
-    /// Draws this runner's workers from `budget`: each `run` reserves
-    /// its thread count and may be granted fewer under contention.
-    /// Results are unaffected (worker count never influences them);
-    /// only wall-clock parallelism is shaped.
-    pub fn with_thread_budget(mut self, budget: Arc<ThreadBudget>) -> ParRunner {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// The worker count this runner uses (before budget shaping).
+    /// The worker count this runner uses.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -261,16 +134,7 @@ impl ParRunner {
         if points.is_empty() {
             return Vec::new();
         }
-        // A budgeted runner leases its workers for the duration of the
-        // run; the lease shapes parallelism only, never the results.
-        let lease = self
-            .budget
-            .as_ref()
-            .map(|b| b.reserve(self.threads.min(points.len())));
-        let workers = lease
-            .as_ref()
-            .map_or(self.threads, ThreadLease::granted)
-            .min(points.len());
+        let workers = self.threads.min(points.len());
         if workers <= 1 {
             for (i, (p, slot)) in points.iter().zip(results.iter_mut()).enumerate() {
                 *slot = Some(eval(p, point_seed(base_seed, i as u64)));
@@ -356,42 +220,6 @@ mod tests {
             let par = ParRunner::with_threads(threads).run(99, &points, eval);
             assert_eq!(par, serial, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn budget_grants_shrink_then_release() {
-        let b = Arc::new(ThreadBudget::new(4));
-        let l1 = b.reserve(3);
-        assert_eq!(l1.granted(), 3);
-        let l2 = b.reserve(3);
-        assert_eq!(l2.granted(), 1, "only one thread left");
-        let l3 = b.reserve(5);
-        assert_eq!(l3.granted(), 0, "an exhausted budget grants zero");
-        assert_eq!(b.in_use(), 4);
-        assert!(b.peak() <= b.limit(), "never oversubscribed");
-        drop(l2);
-        assert_eq!(b.in_use(), 3);
-        let l4 = b.reserve(9);
-        assert_eq!(l4.granted(), 1);
-        drop(l1);
-        drop(l3);
-        drop(l4);
-        assert_eq!(b.in_use(), 0, "all leases returned");
-        assert_eq!(b.peak(), 4, "high-water mark sticks");
-    }
-
-    #[test]
-    fn budgeted_runner_matches_unbudgeted_bitwise() {
-        let points: Vec<u64> = (0..23).collect();
-        let eval = |&p: &u64, seed: u64| (p, seed, p ^ seed);
-        let plain = ParRunner::with_threads(4).run(3, &points, eval);
-        let budget = Arc::new(ThreadBudget::new(2));
-        let budgeted = ParRunner::with_threads(4)
-            .with_thread_budget(Arc::clone(&budget))
-            .run(3, &points, eval);
-        assert_eq!(budgeted, plain, "budget shapes threads, not results");
-        assert!(budget.peak() >= 1 && budget.peak() <= 2);
-        assert_eq!(budget.in_use(), 0);
     }
 
     #[test]

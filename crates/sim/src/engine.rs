@@ -91,7 +91,6 @@ use crate::recovery::RecoveryNotice;
 use crate::stats::{FlowStats, SimStats};
 use crate::trace::{self, Trace, TraceKind};
 use crate::traffic::{Destination, InjectionProcess, TrafficSource};
-use noc_par::ThreadBudget;
 use noc_spec::fault::{corruption_draw, FaultPlan, FaultTarget, RecoveryConfig};
 use noc_spec::FlowId;
 use noc_topology::graph::{LinkId, NodeId, Topology};
@@ -256,10 +255,6 @@ impl RecvRings {
             ],
             slots: vec![0; ports * depth],
         }
-    }
-
-    fn len(&self, p: usize) -> usize {
-        self.rings[p].len as usize
     }
 
     /// The handle of port `p`'s front flit.
@@ -836,19 +831,6 @@ impl Simulator {
         self
     }
 
-    /// Draws a sharded simulator's worker threads from `budget`: each
-    /// `run`/`drain` reserves up to the configured worker count and may
-    /// be granted fewer under contention. Results are unaffected —
-    /// worker count never influences them — only wall-clock parallelism
-    /// is shaped. No effect on a serial simulator, which spawns no
-    /// threads.
-    pub fn with_thread_budget(mut self, budget: Arc<ThreadBudget>) -> Simulator {
-        if let Some(split) = &mut self.split {
-            split.budget = Some(budget);
-        }
-        self
-    }
-
     /// The shard simulators, once this simulator has split.
     fn shards(&self) -> Option<&[Simulator]> {
         self.split
@@ -1022,17 +1004,17 @@ impl Simulator {
         self.data_sum(|s| s.queued_count) as usize
     }
 
-    /// Ground-truth recount of [`flits_in_network`] straight from the
-    /// link states. Test/diagnostic use.
-    #[doc(hidden)]
-    pub fn recount_flits_in_network(&self) -> usize {
+    /// Ground-truth recount of
+    /// [`flits_in_network`](Simulator::flits_in_network) from the link
+    /// states, checked against the maintained count in debug builds.
+    fn recount_flits_in_network(&self) -> usize {
         self.bufs.total() + self.links.iter().map(|l| l.in_flight.len()).sum::<usize>()
     }
 
-    /// Ground-truth recount of [`flits_queued`] straight from the source
-    /// queues. Test/diagnostic use.
-    #[doc(hidden)]
-    pub fn recount_flits_queued(&self) -> usize {
+    /// Ground-truth recount of [`flits_queued`](Simulator::flits_queued)
+    /// from the source queues, checked against the maintained count in
+    /// debug builds.
+    fn recount_flits_queued(&self) -> usize {
         self.sources.iter().map(|s| s.queue.len()).sum()
     }
 
@@ -1225,21 +1207,6 @@ impl Simulator {
             not_before: self.cycle + delay,
             count_rerouted,
         });
-    }
-
-    /// Debug snapshot of a link: (credits per VC, buffered flits per VC,
-    /// in-flight count). Test/diagnostic use.
-    #[doc(hidden)]
-    pub fn debug_link_state(&self, link: LinkId) -> (Vec<usize>, Vec<usize>, usize) {
-        let ports = link.0 * self.cfg.vcs..(link.0 + 1) * self.cfg.vcs;
-        (
-            self.credits[ports.clone()]
-                .iter()
-                .map(|&c| c as usize)
-                .collect(),
-            ports.map(|p| self.bufs.len(p)).collect(),
-            self.links[link.0].in_flight.len(),
-        )
     }
 
     /// Runs the simulation for `cycles` cycles (on the configured worker
@@ -2845,6 +2812,7 @@ mod tests {
     use noc_spec::{CoreId, FlowId};
     use noc_topology::generators::mesh;
     use noc_topology::graph::NiRole;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     /// ni0 -> s0 -> s1 -> ni1 line with duplex links.
@@ -3134,13 +3102,7 @@ mod tests {
             if domains {
                 // Put every node in its own domain (all divider 1) so
                 // every link crosses.
-                let mut map_topo = t.clone();
-                let _ = &mut map_topo;
-                // Build a domain map by abusing from_islands is complex
-                // here; emulate with a handcrafted map.
-                let n = t.nodes().len();
-                let domains = crate::gals::DomainMap::per_node_for_tests(n);
-                sim.set_domains(domains);
+                sim.set_domains(DomainMap::per_node(t.nodes().len()));
             }
             sim.add_source(one_shot_source(ni0, route.clone(), 1));
             sim.run(40);
@@ -3786,6 +3748,100 @@ mod tests {
             assert!(sim.drain(20_000), "{ec:?} drains through fault + noise");
             assert!(sim.credits_restored(), "{ec:?} conserves credits");
             assert_conserved(&sim);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Receive buffers are fixed rings of `buffer_depth` slots. That
+        /// is sound only because the credit algebra bounds every (link,
+        /// VC) buffer by the buffer depth, so the bound is checked after
+        /// every single step: under both flow-control disciplines, under
+        /// link-level retries (a rejected flit keeps its slot while it
+        /// re-crosses the wire) and FEC, and under link faults, whose
+        /// flush tails take a slot in a freshly drained buffer. No
+        /// sender may ever believe in more free slots than exist either.
+        #[test]
+        fn receive_buffers_never_exceed_buffer_depth(
+            rate in 0.05f64..0.6,
+            pf in 2usize..6,
+            buffer_depth in 1usize..5,
+            vcs in 1usize..3,
+            fc_sel in 0u8..2,
+            ec_sel in 0u8..3,
+            nfaults in 1usize..4,
+            seed in 0u64..500,
+        ) {
+            use noc_spec::fault::{CorruptionScenario, FaultScenario};
+
+            let fc = if fc_sel == 0 { FlowControl::OnOff } else { FlowControl::AckNack };
+            let ec = match ec_sel {
+                0 => ErrorControl::None,
+                1 => ErrorControl::LinkLevel,
+                _ => ErrorControl::Fec,
+            };
+            let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
+            let m = mesh(4, 4, &cores, 32).expect("valid shape");
+            let switch_links: Vec<usize> = m
+                .topology
+                .links()
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| {
+                    m.topology.node(l.src).is_switch() && m.topology.node(l.dst).is_switch()
+                })
+                .map(|(i, _)| i)
+                .collect();
+            let targets: Vec<FaultTarget> =
+                switch_links.iter().map(|&i| FaultTarget::Link(i)).collect();
+            let faults = FaultScenario {
+                faults: nfaults,
+                window: (50, 500),
+                transient_chance: 128,
+                duration: (30, 200),
+            };
+            let noise = CorruptionScenario {
+                bursts: 3,
+                window: (0, 600),
+                duration: (50, 300),
+                ber_ppm: (50_000, 300_000),
+                double_ppm: (0, 50_000),
+            };
+            let plan = FaultPlan::generate(seed, &targets, faults).with_corruption(
+                FaultPlan::generate_corruption(seed ^ 0xB0F, &switch_links, noise)
+                    .corruption()
+                    .to_vec(),
+            );
+            let cfg = SimConfig::default()
+                .with_warmup(0)
+                .with_buffer_depth(buffer_depth)
+                .with_vcs(vcs)
+                .with_flow_control(fc)
+                .with_error_control(ec);
+            let mut sim = Simulator::new(m.topology.clone(), cfg).with_seed(seed);
+            for s in crate::patterns::uniform_random(&m, rate, pf).expect("in range") {
+                sim.add_source(s);
+            }
+            sim.set_fault_plan(&plan).expect("targets are real links");
+            for _ in 0..800 {
+                sim.step();
+                for p in 0..sim.credits.len() {
+                    let (link, vc) = (p / vcs, p % vcs);
+                    let held = sim.bufs.rings[p].len as usize;
+                    prop_assert!(
+                        held <= buffer_depth,
+                        "link {} VC {} holds {} flits > depth {} at cycle {} ({:?}, {:?})",
+                        link, vc, held, buffer_depth, sim.cycle(), fc, ec
+                    );
+                    prop_assert!(
+                        sim.credits[p] as usize <= buffer_depth,
+                        "link {} VC {} has {} credits > depth {} at cycle {} ({:?}, {:?})",
+                        link, vc, sim.credits[p], buffer_depth, sim.cycle(), fc, ec
+                    );
+                }
+            }
+            prop_assert!(sim.injected_flits_total() > 0, "traffic flowed");
         }
     }
 }

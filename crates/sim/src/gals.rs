@@ -172,11 +172,6 @@ impl DomainMap {
         }
     }
 
-    #[doc(hidden)]
-    pub fn per_node_for_tests(node_count: usize) -> DomainMap {
-        DomainMap::per_node(node_count)
-    }
-
     /// The domain index of a node.
     pub fn domain(&self, node: NodeId) -> usize {
         self.domain_of[node.0]

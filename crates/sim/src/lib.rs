@@ -21,7 +21,10 @@
 //!   fabric patterns ([`traffic`], [`patterns`]);
 //! * per-flow latency/bandwidth and per-link utilization statistics
 //!   ([`stats`]);
-//! * parallel, deterministic parameter sweeps across cores ([`sweep`]).
+//! * one simulation sharded across cores ([`partition`]), and
+//!   parameter sweeps across cores on `noc_par::ParRunner`, whose
+//!   per-point results merge with [`SimStats::merge`] — both
+//!   bit-identical to a serial run.
 //!
 //! ## Example
 //!
@@ -62,7 +65,6 @@ pub mod qos;
 pub mod recovery;
 pub mod setup;
 pub mod stats;
-pub mod sweep;
 pub mod trace;
 pub mod traffic;
 
@@ -76,6 +78,5 @@ pub use crate::partition::Partitioning;
 pub use crate::qos::SlotTable;
 pub use crate::recovery::{OnlineRecovery, RecoveryNotice};
 pub use crate::stats::{ErrorControlStats, FlowStats, RecoveryStats, SimStats};
-pub use crate::sweep::{point_seed, SweepRunner};
 pub use crate::trace::{Trace, TraceEvent, TraceKind};
 pub use crate::traffic::TrafficSource;

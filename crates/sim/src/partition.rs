@@ -1,9 +1,10 @@
 //! Deterministic intra-simulation parallelism: one simulation, many
 //! cores.
 //!
-//! Every other parallel layer of the toolkit (`noc_sim::sweep`, the DSE
-//! shard fan-out) parallelizes *across* simulations; this module
-//! parallelizes *within* one. A [`Simulator`] built with
+//! Every other parallel layer of the toolkit (parameter sweeps on
+//! `noc_par::ParRunner`, the DSE shard fan-out) parallelizes *across*
+//! simulations; this module parallelizes *within* one. A [`Simulator`]
+//! built with
 //! [`SimConfig::with_partitioned_engine`](crate::config::SimConfig::with_partitioned_engine)`(w)`,
 //! `w ≥ 2`, is cut into spatial shards ([`Partitioning::auto`] cuts
 //! contiguous switch bands — row bands on a row-major mesh); if the cut
@@ -66,17 +67,15 @@
 //! claim: scan ≡ event ≡ sharded at 1/2/4/8 workers, including under
 //! faults, online recovery, GALS domains and TDMA slots.
 //!
-//! Worker count never affects results — only wall-clock time — so a
-//! sharded simulator may be budget-shaped
-//! ([`Simulator::with_thread_budget`]) when it runs inside an outer
-//! parallel sweep without oversubscribing the machine.
+//! Worker count never affects results — only wall-clock time. A
+//! sharded simulator inside an outer parallel sweep runs up to
+//! `partition_workers` threads per sweep worker; the caller picks both
+//! counts.
 
 use crate::engine::Simulator;
 use crate::stats::SimStats;
-use noc_par::ThreadBudget;
 use noc_topology::graph::Topology;
 use std::sync::mpsc;
-use std::sync::Arc;
 
 /// A spatial partition of a topology's nodes into shards.
 #[derive(Debug, Clone)]
@@ -145,8 +144,6 @@ pub(crate) struct Split {
     pub(crate) shards: Vec<Simulator>,
     /// Parent and shard statistics, merged by [`Simulator::finish`].
     pub(crate) stats: SimStats,
-    /// Optional machine-wide thread budget (nested-parallelism guard).
-    pub(crate) budget: Option<Arc<ThreadBudget>>,
 }
 
 impl Split {
@@ -163,7 +160,6 @@ impl Split {
                 plan,
                 shards: Vec::new(),
                 stats: SimStats::default(),
-                budget: None,
             })
         })
     }
@@ -215,18 +211,14 @@ fn idle(parent: &Simulator, shards: &[Simulator]) -> bool {
 
 /// The shared engine of a sharded simulator's `run` and `drain`: steps
 /// up to `cycles` cycles, stopping early when idle if `stop_when_idle`.
-/// With more than one (budget-granted) worker, shards are dispatched
-/// each cycle to persistent worker threads over channels; shard `i` is
-/// always handled by worker `i % workers`, and shards share no state
-/// within a cycle, so scheduling cannot influence results.
+/// With more than one worker, shards are dispatched each cycle to
+/// persistent worker threads over channels; shard `i` is always
+/// handled by worker `i % workers`, and shards share no state within a
+/// cycle, so scheduling cannot influence results.
 pub(crate) fn run_loop(sim: &mut Simulator, cycles: u64, stop_when_idle: bool) {
     let want = sim.config().partition_workers;
     with_shards(sim, |parent, split| {
-        let lease = split.budget.as_ref().map(|b| b.reserve(want));
-        let workers = lease
-            .as_ref()
-            .map_or(want, noc_par::ThreadLease::granted)
-            .min(split.shards.len());
+        let workers = want.min(split.shards.len());
         let shards = &mut split.shards;
         let shard_of_node = &split.plan.shard_of_node;
         if workers <= 1 {

@@ -13,12 +13,12 @@
 //! worker counts and partitioned configs at 1/2/4/8 workers (1 worker
 //! is the serial event engine by construction).
 
+use noc_par::ParRunner;
 use noc_sim::config::{FlowControl, SimConfig};
 use noc_sim::engine::Simulator;
 use noc_sim::gals::DomainMap;
 use noc_sim::patterns;
 use noc_sim::qos::SlotTable;
-use noc_sim::sweep::SweepRunner;
 use noc_sim::traffic::{InjectionProcess, TrafficSource};
 use noc_spec::{CoreId, FlowId, TrafficShape};
 use noc_topology::generators::{mesh, Mesh};
@@ -450,7 +450,7 @@ fn error_control_sweeps_are_bit_identical_at_any_thread_count() {
             sim.into_stats()
         }
     };
-    let reference = SweepRunner::serial().run(0xEC, &grid, eval(true));
+    let reference = ParRunner::serial().run(0xEC, &grid, eval(true));
     assert!(
         reference
             .iter()
@@ -458,7 +458,7 @@ fn error_control_sweeps_are_bit_identical_at_any_thread_count() {
         "the sweep must actually exercise corruption"
     );
     for threads in [1usize, 2, 8] {
-        let got = SweepRunner::with_threads(threads).run(0xEC, &grid, eval(false));
+        let got = ParRunner::with_threads(threads).run(0xEC, &grid, eval(false));
         assert_eq!(
             got, reference,
             "error-control sweep at {threads} threads diverged from the serial scan reference"
@@ -607,16 +607,19 @@ fn parallel_sweeps_match_scan_reference_at_any_thread_count() {
             sim.into_stats()
         }
     };
-    let reference = SweepRunner::serial().run(7, &rates, eval(true));
+    let reference = ParRunner::serial().run(7, &rates, eval(true));
     for threads in [1usize, 2, 8] {
-        let got = SweepRunner::with_threads(threads).run(7, &rates, eval(false));
+        let got = ParRunner::with_threads(threads).run(7, &rates, eval(false));
         assert_eq!(
             got, reference,
             "event-engine sweep at {threads} threads diverged from the serial scan reference"
         );
     }
     // Flows are disjoint across points, so merged stats agree too.
-    let merged_event = SweepRunner::with_threads(8).run_merged(7, &rates, eval(false));
+    let mut merged_event = noc_sim::stats::SimStats::default();
+    for s in &ParRunner::with_threads(8).run(7, &rates, eval(false)) {
+        merged_event.merge(s);
+    }
     let mut merged_scan = noc_sim::stats::SimStats::default();
     for s in &reference {
         merged_scan.merge(s);

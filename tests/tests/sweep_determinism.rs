@@ -4,26 +4,36 @@
 //! derives from `point_seed(base, index)` and results are returned in
 //! point order regardless of worker scheduling.
 
+use noc::par::{point_seed, ParRunner};
 use noc_sim::config::SimConfig;
 use noc_sim::engine::Simulator;
 use noc_sim::patterns;
 use noc_sim::stats::SimStats;
-use noc_sim::sweep::{point_seed, SweepRunner, ThreadBudget};
 use noc_spec::CoreId;
 use noc_topology::generators::mesh;
-use std::sync::Arc;
 
 fn sweep_points() -> Vec<f64> {
     vec![0.02, 0.05, 0.1, 0.2, 0.3]
 }
 
+/// Runs the sweep on `runner` and folds the per-point stats into one
+/// aggregate with `SimStats::merge`.
+fn merged_sweep(
+    runner: &ParRunner,
+    base_seed: u64,
+    points: &[f64],
+    eval: impl Fn(&f64, u64) -> SimStats + Sync,
+) -> SimStats {
+    let mut merged = SimStats::default();
+    for stats in runner.run(base_seed, points, eval) {
+        merged.merge(&stats);
+    }
+    merged
+}
+
 /// The sweep point: a 4×4 uniform-random simulation at `rate`, stepped
-/// on `workers` shard workers (1 = the serial engine), optionally
-/// drawing them from a shared thread budget.
-fn eval_point(
-    workers: usize,
-    budget: Option<Arc<ThreadBudget>>,
-) -> impl Fn(&f64, u64) -> SimStats + Sync {
+/// on `workers` shard workers (1 = the serial engine).
+fn eval_point(workers: usize) -> impl Fn(&f64, u64) -> SimStats + Sync {
     move |rate, seed| {
         let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
         let fabric = mesh(4, 4, &cores, 32).expect("16 cores fit a 4x4 mesh");
@@ -31,9 +41,6 @@ fn eval_point(
             .with_warmup(500)
             .with_partitioned_engine(workers);
         let mut sim = Simulator::new(fabric.topology.clone(), cfg).with_seed(seed);
-        if let Some(b) = &budget {
-            sim = sim.with_thread_budget(Arc::clone(b));
-        }
         for s in patterns::uniform_random(&fabric, *rate, 4).expect("rate in range") {
             sim.add_source(s);
         }
@@ -45,9 +52,9 @@ fn eval_point(
 #[test]
 fn parallel_sweep_matches_serial_bitwise() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run(17, &points, eval_point(1, None));
+    let serial = ParRunner::serial().run(17, &points, eval_point(1));
     for threads in [2, 4, 8] {
-        let parallel = SweepRunner::with_threads(threads).run(17, &points, eval_point(1, None));
+        let parallel = ParRunner::with_threads(threads).run(17, &points, eval_point(1));
         assert_eq!(
             parallel, serial,
             "per-point SimStats must be bit-identical at {threads} workers"
@@ -60,7 +67,7 @@ fn per_point_seeds_are_scheduling_independent() {
     // The seed handed to each point is a pure function of (base, index):
     // capture what eval receives and check against point_seed directly.
     let points = sweep_points();
-    let seeds = SweepRunner::with_threads(4).run(17, &points, |_rate, seed| seed);
+    let seeds = ParRunner::with_threads(4).run(17, &points, |_rate, seed| seed);
     let expected: Vec<u64> = (0..points.len() as u64)
         .map(|i| point_seed(17, i))
         .collect();
@@ -70,11 +77,11 @@ fn per_point_seeds_are_scheduling_independent() {
 #[test]
 fn merged_sweep_is_thread_count_invariant() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run_merged(23, &points, eval_point(1, None));
-    let parallel = SweepRunner::with_threads(4).run_merged(23, &points, eval_point(1, None));
+    let serial = merged_sweep(&ParRunner::serial(), 23, &points, eval_point(1));
+    let parallel = merged_sweep(&ParRunner::with_threads(4), 23, &points, eval_point(1));
     assert_eq!(parallel, serial);
     // The merge accumulates measurement windows across points.
-    let one = eval_point(1, None)(&points[0], point_seed(23, 0));
+    let one = eval_point(1)(&points[0], point_seed(23, 0));
     assert_eq!(
         serial.measured_cycles,
         one.measured_cycles * points.len() as u64
@@ -127,13 +134,13 @@ fn eval_point_faulted(rate: &f64, seed: u64) -> SimStats {
 #[test]
 fn parallel_fault_sweep_matches_serial_bitwise() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run(29, &points, eval_point_faulted);
+    let serial = ParRunner::serial().run(29, &points, eval_point_faulted);
     assert!(
         serial.iter().any(|s| s.dropped_flits > 0),
         "fault plans must actually bite for this test to mean anything"
     );
     for threads in [2, 4, 8] {
-        let parallel = SweepRunner::with_threads(threads).run(29, &points, eval_point_faulted);
+        let parallel = ParRunner::with_threads(threads).run(29, &points, eval_point_faulted);
         assert_eq!(
             parallel, serial,
             "fault counters must stay bit-identical at {threads} workers"
@@ -147,8 +154,8 @@ fn merged_fault_sweep_is_thread_count_invariant() {
     // (dropped_flits, rerouted_packets, per-event drop map), so the
     // merged aggregate must also be scheduling-independent.
     let points = sweep_points();
-    let serial = SweepRunner::serial().run_merged(31, &points, eval_point_faulted);
-    let parallel = SweepRunner::with_threads(4).run_merged(31, &points, eval_point_faulted);
+    let serial = merged_sweep(&ParRunner::serial(), 31, &points, eval_point_faulted);
+    let parallel = merged_sweep(&ParRunner::with_threads(4), 31, &points, eval_point_faulted);
     assert_eq!(parallel, serial);
 }
 
@@ -196,7 +203,7 @@ fn eval_point_recovered(rate: &f64, seed: u64) -> SimStats {
 #[test]
 fn parallel_online_recovery_sweep_matches_serial_bitwise() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run(37, &points, eval_point_recovered);
+    let serial = ParRunner::serial().run(37, &points, eval_point_recovered);
     assert!(
         serial.iter().any(|s| s.recovery.detections > 0),
         "watchdogs must actually fire for this test to mean anything"
@@ -206,7 +213,7 @@ fn parallel_online_recovery_sweep_matches_serial_bitwise() {
         "hot-swaps must actually commit for this test to mean anything"
     );
     for threads in [1, 2, 8] {
-        let parallel = SweepRunner::with_threads(threads).run(37, &points, eval_point_recovered);
+        let parallel = ParRunner::with_threads(threads).run(37, &points, eval_point_recovered);
         assert_eq!(
             parallel, serial,
             "recovery telemetry must stay bit-identical at {threads} workers"
@@ -220,43 +227,14 @@ fn parallel_online_recovery_sweep_matches_serial_bitwise() {
 #[test]
 fn sweep_of_partitioned_sims_matches_serial_bitwise() {
     let points = sweep_points();
-    let serial = SweepRunner::serial().run(17, &points, eval_point(1, None));
+    let serial = ParRunner::serial().run(17, &points, eval_point(1));
     for (threads, workers) in [(2, 2), (4, 4), (8, 2)] {
-        let nested = SweepRunner::with_threads(threads).run(17, &points, eval_point(workers, None));
+        let nested = ParRunner::with_threads(threads).run(17, &points, eval_point(workers));
         assert_eq!(
             nested, serial,
             "sweep({threads} threads) of partitioned({workers} workers) sims diverged"
         );
     }
-}
-
-/// The oversubscription guard: when the outer sweep and every inner
-/// partitioned simulation draw from one shared [`ThreadBudget`], the
-/// machine-wide worker count stays capped at the budget's limit — and
-/// the budget-throttled run is still bit-identical to the unthrottled
-/// (and serial) references.
-#[test]
-fn shared_thread_budget_caps_nested_parallelism() {
-    let points = sweep_points();
-    let serial = SweepRunner::serial().run(17, &points, eval_point(1, None));
-    // A deliberately tiny budget: 3 workers for a 4-thread sweep of
-    // 4-worker partitioned sims (which would want 4 + 4×4 = 20).
-    let budget = Arc::new(ThreadBudget::new(3));
-    let capped = SweepRunner::with_threads(4)
-        .with_thread_budget(Arc::clone(&budget))
-        .run(17, &points, eval_point(4, Some(Arc::clone(&budget))));
-    assert_eq!(
-        capped, serial,
-        "budget pressure must shape wall-clock only, never results"
-    );
-    assert!(
-        budget.peak() <= budget.limit(),
-        "leased workers peaked at {} over the budget limit {}",
-        budget.peak(),
-        budget.limit()
-    );
-    assert!(budget.peak() > 0, "the budget was actually exercised");
-    assert_eq!(budget.in_use(), 0, "all leases returned");
 }
 
 #[test]
@@ -265,10 +243,14 @@ fn merged_online_recovery_sweep_is_thread_count_invariant() {
     // so the merged aggregate — detection/reroute/restore latencies,
     // retransmit counts, epoch swaps — is scheduling-independent too.
     let points = sweep_points();
-    let serial = SweepRunner::serial().run_merged(41, &points, eval_point_recovered);
+    let serial = merged_sweep(&ParRunner::serial(), 41, &points, eval_point_recovered);
     for threads in [2, 8] {
-        let parallel =
-            SweepRunner::with_threads(threads).run_merged(41, &points, eval_point_recovered);
+        let parallel = merged_sweep(
+            &ParRunner::with_threads(threads),
+            41,
+            &points,
+            eval_point_recovered,
+        );
         assert_eq!(parallel, serial);
     }
     assert!(
