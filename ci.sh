@@ -112,6 +112,13 @@ tier1() {
   # at 8x the default case count, in the release build users run.
   echo "==> tier-1: floorplan annealer parity (release)"
   PROPTEST_CASES=512 cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-floorplan
+  # Synthesis bit-identity in the release build users run: the shared
+  # structure pool against per-point synthesis, the flow's synthesis at
+  # any thread count, and the DSE's pinned cache keys and store bytes.
+  echo "==> tier-1: synthesis bit-identity (release)"
+  cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-synth --test structure_sharing
+  cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-integration \
+    --test synth_determinism --test dse_golden_keys
 }
 
 smoke() {

@@ -82,8 +82,8 @@ fn main() {
                 .iter()
                 .map(|cand| eval.evaluate(cand, |_, _| Vec::new()))
                 .collect();
-            built += eval.structure_misses;
-            reused += eval.structure_hits;
+            built += eval.structure_misses();
+            reused += eval.structure_hits();
             metrics
         })
         .collect();

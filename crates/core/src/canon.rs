@@ -11,6 +11,7 @@ impl Canonical for Verification {
         self.mean_latency_cycles.encode(out);
         self.worst_gt_latency_cycles.encode(out);
         self.gt_bandwidth_ok.encode(out);
+        self.meets_contract.encode(out);
     }
     fn decode(r: &mut CanonReader<'_>) -> Result<Verification, CanonError> {
         Ok(Verification {
@@ -18,6 +19,7 @@ impl Canonical for Verification {
             mean_latency_cycles: f64::decode(r)?,
             worst_gt_latency_cycles: f64::decode(r)?,
             gt_bandwidth_ok: bool::decode(r)?,
+            meets_contract: bool::decode(r)?,
         })
     }
 }
@@ -28,15 +30,19 @@ mod tests {
 
     #[test]
     fn verification_round_trips_bitwise() {
-        let v = Verification {
-            delivered_fraction: 0.987654321,
-            mean_latency_cycles: 17.25,
-            worst_gt_latency_cycles: 42.0000001,
-            gt_bandwidth_ok: true,
-        };
-        let bytes = v.to_canon_bytes();
-        let back = Verification::from_canon_bytes(&bytes).expect("decodes");
-        assert_eq!(back, v);
-        assert_eq!(back.to_canon_bytes(), bytes);
+        // The two verdicts differ, so a decoder that swapped them fails.
+        for meets_contract in [false, true] {
+            let v = Verification {
+                delivered_fraction: 0.987654321,
+                mean_latency_cycles: 17.25,
+                worst_gt_latency_cycles: 42.0000001,
+                gt_bandwidth_ok: !meets_contract,
+                meets_contract,
+            };
+            let bytes = v.to_canon_bytes();
+            let back = Verification::from_canon_bytes(&bytes).expect("decodes");
+            assert_eq!(back, v);
+            assert_eq!(back.to_canon_bytes(), bytes);
+        }
     }
 }

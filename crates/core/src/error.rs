@@ -22,6 +22,12 @@ pub enum FlowError {
     /// The flow configuration cannot give a meaningful result (the
     /// message names the offending field).
     InvalidConfig(String),
+    /// Verification ran and none of the `verified` designs delivered
+    /// the configured threshold with every GT guarantee met.
+    NoDesignMeetsContract {
+        /// Designs that were verified.
+        verified: usize,
+    },
 }
 
 impl fmt::Display for FlowError {
@@ -32,6 +38,11 @@ impl fmt::Display for FlowError {
             FlowError::Synth(e) => write!(f, "synthesis error: {e}"),
             FlowError::Sim(e) => write!(f, "simulation error: {e}"),
             FlowError::InvalidConfig(why) => write!(f, "invalid flow configuration: {why}"),
+            FlowError::NoDesignMeetsContract { verified } => write!(
+                f,
+                "none of {verified} verified designs met the delivery threshold \
+                 and every GT guarantee"
+            ),
         }
     }
 }
@@ -43,7 +54,7 @@ impl Error for FlowError {
             FlowError::Topology(e) => Some(e),
             FlowError::Synth(e) => Some(e),
             FlowError::Sim(e) => Some(e),
-            FlowError::InvalidConfig(_) => None,
+            FlowError::InvalidConfig(_) | FlowError::NoDesignMeetsContract { .. } => None,
         }
     }
 }

@@ -71,6 +71,10 @@ pub struct Verification {
     /// Whether every GT flow delivered at least the threshold fraction
     /// of its demand.
     pub gt_bandwidth_ok: bool,
+    /// Whether the design meets the flow's contract: the delivered
+    /// fraction reaches [`FlowConfig::delivery_threshold`] and every GT
+    /// flow met its guarantee (`gt_bandwidth_ok`).
+    pub meets_contract: bool,
 }
 
 /// One fully processed design point.
@@ -91,18 +95,28 @@ pub struct FlowOutcome {
     pub floorplan: CoreFloorplan,
 }
 
+impl FlowDesign {
+    /// Whether the design may be handed off: verification skipped, or
+    /// verification found it [meets the contract](Verification::meets_contract).
+    pub fn meets_contract(&self) -> bool {
+        self.verification.is_none_or(|v| v.meets_contract)
+    }
+}
+
 impl FlowOutcome {
-    /// The minimum-power verified design (or minimum-power design when
-    /// verification was skipped).
+    /// The minimum-power design that [meets the
+    /// contract](FlowDesign::meets_contract): the cheapest verified one,
+    /// or the cheapest design when verification was skipped.
+    ///
+    /// # Panics
+    ///
+    /// If no design meets the contract. [`run_flow`] never returns such
+    /// an outcome: it fails with [`FlowError::NoDesignMeetsContract`].
     pub fn best(&self) -> &FlowDesign {
         self.designs
             .iter()
-            .find(|d| {
-                d.verification
-                    .map(|v| v.delivered_fraction >= 0.9)
-                    .unwrap_or(true)
-            })
-            .unwrap_or(&self.designs[0])
+            .find(|d| d.meets_contract())
+            .expect("a flow outcome holds a design that meets its contract")
     }
 
     /// Emits the structural Verilog of a design point.
@@ -217,15 +231,17 @@ pub fn verify_design(
             }
         }
     }
+    let delivered_fraction = if offered_packets > 0 {
+        delivered_packets as f64 / offered_packets as f64
+    } else {
+        1.0
+    };
     Ok(Verification {
-        delivered_fraction: if offered_packets > 0 {
-            delivered_packets as f64 / offered_packets as f64
-        } else {
-            1.0
-        },
+        delivered_fraction,
         mean_latency_cycles: stats.mean_latency().unwrap_or(0.0),
         worst_gt_latency_cycles: worst_gt_latency,
         gt_bandwidth_ok: gt_ok,
+        meets_contract: gt_ok && delivered_fraction >= cfg.delivery_threshold,
     })
 }
 
@@ -237,7 +253,9 @@ pub fn verify_design(
 /// not give a meaningful verdict (see [`verify_design`]),
 /// [`FlowError::Synth`] when no feasible design exists,
 /// [`FlowError::Sim`] on verification-setup failure (of the first
-/// failing design in power order).
+/// failing design in power order), and
+/// [`FlowError::NoDesignMeetsContract`] when verification ran and no
+/// design meets the delivery threshold and every GT guarantee.
 pub fn run_flow(
     spec: &AppSpec,
     floorplan: Option<CoreFloorplan>,
@@ -266,15 +284,21 @@ pub fn run_flow(
     } else {
         vec![None; designs.len()]
     };
+    let designs: Vec<FlowDesign> = designs
+        .into_iter()
+        .zip(verifications)
+        .map(|(design, verification)| FlowDesign {
+            design,
+            verification,
+        })
+        .collect();
+    if !designs.iter().any(FlowDesign::meets_contract) {
+        return Err(FlowError::NoDesignMeetsContract {
+            verified: designs.len(),
+        });
+    }
     Ok(FlowOutcome {
-        designs: designs
-            .into_iter()
-            .zip(verifications)
-            .map(|(design, verification)| FlowDesign {
-                design,
-                verification,
-            })
-            .collect(),
+        designs,
         floorplan: fp,
     })
 }
@@ -421,5 +445,75 @@ mod tests {
         let v = best.verification.expect("ran");
         assert!(v.gt_bandwidth_ok, "GT flows starved: {v:?}");
         assert!(v.worst_gt_latency_cycles > 0.0);
+    }
+
+    /// Two GT flows into one slave that together need more than its
+    /// link carries (the 1.25 utilization cap lets synthesis admit the
+    /// overload), next to best-effort traffic that is delivered in full.
+    fn overloaded_gt_spec() -> (AppSpec, FlowConfig) {
+        use noc_spec::core::{Core, CoreRole};
+        use noc_spec::units::BitsPerSecond;
+        use noc_spec::TrafficFlow;
+        let mut b = AppSpec::builder("gt_overload");
+        let s = b.add_core(Core::new("s", CoreRole::Slave));
+        for i in 0..2 {
+            let m = b.add_core(Core::new(format!("gt{i}"), CoreRole::Master));
+            b.add_flow(TrafficFlow::new(m, s, BitsPerSecond::from_mbps(1800)).guaranteed());
+        }
+        for i in 0..2 {
+            let m = b.add_core(Core::new(format!("be{i}"), CoreRole::Master));
+            let t = b.add_core(Core::new(format!("t{i}"), CoreRole::Slave));
+            b.add_flow(TrafficFlow::new(m, t, BitsPerSecond::from_mbps(3000)));
+        }
+        let spec = b.build().expect("valid");
+        let mut cfg = quick_cfg();
+        cfg.synthesis.min_switches = 1;
+        cfg.synthesis.max_switches = 2;
+        cfg.synthesis.clocks = vec![Hertz::from_mhz(200)];
+        cfg.synthesis.utilization_cap = 1.25;
+        cfg.verify_cycles = 6_000;
+        cfg.verify_warmup = 1_000;
+        (spec, cfg)
+    }
+
+    #[test]
+    fn gt_flow_that_misses_its_guarantee_fails_the_contract() {
+        let (spec, cfg) = overloaded_gt_spec();
+        let designs = synthesize(&spec, None, &cfg.synthesis).expect("feasible at the cap");
+        for design in &designs {
+            let v = verify_design(&spec, design, &cfg).expect("verifies");
+            // The aggregate passes the threshold; only the GT verdict
+            // fails, and it alone fails the contract.
+            assert!(v.delivered_fraction >= cfg.delivery_threshold, "{v:?}");
+            assert!(!v.gt_bandwidth_ok && !v.meets_contract, "{v:?}");
+            let mut lax = cfg.clone();
+            lax.delivery_threshold = 0.5;
+            let v = verify_design(&spec, design, &lax).expect("verifies");
+            assert!(v.gt_bandwidth_ok && v.meets_contract, "{v:?}");
+        }
+        assert_eq!(
+            run_flow(&spec, None, &cfg).map(|o| o.designs.len()),
+            Err(FlowError::NoDesignMeetsContract {
+                verified: designs.len()
+            })
+        );
+    }
+
+    #[test]
+    fn best_skips_designs_that_miss_the_contract() {
+        let (spec, mut cfg) = overloaded_gt_spec();
+        cfg.delivery_threshold = 0.5;
+        let mut outcome = run_flow(&spec, None, &cfg).expect("meets the lax contract");
+        let cheapest = outcome.designs[0].design.clone();
+        let mut failed = outcome.designs[0].verification.expect("verified");
+        failed.meets_contract = false;
+        outcome.designs.insert(
+            0,
+            FlowDesign {
+                design: cheapest,
+                verification: Some(failed),
+            },
+        );
+        assert!(std::ptr::eq(outcome.best(), &outcome.designs[1]));
     }
 }

@@ -31,13 +31,14 @@
 //!
 //! ## Structure sharing
 //!
-//! Candidate metrics stay individually cached, but on a *miss* the
-//! shard no longer re-synthesizes from scratch: it hands the candidate
-//! to one [`SharedEval`], which shares routed structures across grid
-//! points. Custom pools are loaded from the pool entries above the
-//! first time a miss touches them and persisted when extended; mesh
-//! structures live in memory for the shard. Only the cheap parameter
-//! phase (retiming + evaluation) runs per grid point.
+//! Candidate metrics stay individually cached; on a *miss* the shard
+//! hands the candidate to one [`SharedEval`], which shares routed
+//! structures across grid points. Custom candidates go through one
+//! `noc_synth::sunfloor::StructurePool` per `(k, width)`, the evaluator
+//! the synthesis sweep runs too: it is seeded from the pool entry above
+//! the first time a miss touches it and persisted when it routed
+//! anything new. Mesh structures live in memory for the shard. Only the
+//! cheap parameter phase (retiming + evaluation) runs per grid point.
 
 use crate::front::{FrontPoint, ParetoFront};
 use crate::generator::generate_spec;
@@ -305,8 +306,8 @@ fn eval_shard(
     ShardResult {
         new_entries,
         points,
-        structure_hits: shared.structure_hits,
-        structure_misses: shared.structure_misses,
+        structure_hits: shared.structure_hits(),
+        structure_misses: shared.structure_misses(),
         store_hits: view.hits(),
         store_misses: view.misses(),
     }
@@ -493,7 +494,6 @@ mod tests {
         let cfg = small_cfg();
         let grid = small_grid();
         let cold = explore(&cfg, &grid, &store).expect("cold");
-        store.reset_counters();
         let warm = explore(&cfg, &grid, &store).expect("warm");
         assert_eq!(warm.store_stats.misses, 0, "warm run must be all hits");
         assert_eq!(
@@ -571,7 +571,6 @@ mod tests {
         let pool = decode_structures(&pool_bytes, &spec, &fp).expect("pool decodes");
         assert!(!pool.is_empty());
         // A warm rerun never reaches the structure layer at all.
-        store.reset_counters();
         let warm = explore(&cfg, &grid, &store).expect("warm");
         assert_eq!(warm.store_stats.misses, 0);
         assert_eq!(warm.structure_hits, 0);

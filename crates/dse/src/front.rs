@@ -7,6 +7,7 @@
 
 use crate::grid::Candidate;
 use noc_spec::canon::{CanonError, CanonReader, Canonical};
+use noc_synth::pareto::dominates;
 
 /// One non-dominated design point of the global sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,12 +44,14 @@ impl Canonical for FrontPoint {
 }
 
 impl FrontPoint {
-    /// Whether `self` dominates `other` on (power, latency): no worse
-    /// on both axes, strictly better on at least one.
+    /// Whether `self` dominates `other` on (power, latency), by the
+    /// rule the synthesis flow's filter applies too
+    /// ([`noc_synth::pareto::dominates`]).
     pub fn dominates(&self, other: &FrontPoint) -> bool {
-        self.power_mw <= other.power_mw
-            && self.latency_cycles <= other.latency_cycles
-            && (self.power_mw < other.power_mw || self.latency_cycles < other.latency_cycles)
+        dominates(
+            (self.power_mw, self.latency_cycles),
+            (other.power_mw, other.latency_cycles),
+        )
     }
 }
 

@@ -6,10 +6,10 @@
 //! [`SharedEval`] routes each structure once and runs only the cheap
 //! parameter phase (retiming + evaluation) per grid point:
 //!
-//! * custom candidates share routed [`CandidateStructure`]s per
-//!   `(k, width)` pool, reusing one whenever its capacity signature
-//!   admits the candidate's link capacity, else building and admitting
-//!   a new one;
+//! * custom candidates go through one [`StructurePool`] per `(k,
+//!   width)`, the evaluator the synthesis sweep runs too; each pool is
+//!   seeded from the caller (the store) the first time a candidate
+//!   touches it;
 //! * mesh candidates share one placement order per spec and one routed
 //!   [`MeshStructure`] per width, with retimed topologies memoized per
 //!   `(width, clock)`.
@@ -26,35 +26,27 @@ use noc_spec::{AppSpec, CoreId};
 use noc_synth::eval::DesignMetrics;
 use noc_synth::mapping::{build_mesh_structure, mesh_order, MeshStructure};
 use noc_synth::partition::Partition;
-use noc_synth::sunfloor::{build_structure, capacity_bits, CandidateStructure};
+use noc_synth::sunfloor::{CandidateStructure, StructurePool};
 use noc_topology::graph::Topology;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// One custom `(k, width)` pool and whether this evaluator added to it.
-struct Pool {
-    structures: Vec<CandidateStructure>,
-    dirty: bool,
-}
-
 /// Evaluates candidates against one spec and floorplan, sharing every
 /// routed structure across the grid points that can reuse it. Results
 /// are bit-identical to per-point synthesis (`synthesize_candidate`,
-/// `map_to_mesh_with_options`).
+/// and a mesh structure built afresh per point).
 pub struct SharedEval<'a> {
     spec: &'a AppSpec,
     fp: &'a CoreFloorplan,
     parts: &'a BTreeMap<usize, Partition>,
     tech: TechNode,
     utilization_cap: f64,
-    pools: BTreeMap<(usize, u32), Pool>,
+    pools: BTreeMap<(usize, u32), StructurePool<'a>>,
     mesh_order: Option<Option<Vec<CoreId>>>,
     mesh_structs: BTreeMap<u32, Option<MeshStructure>>,
     mesh_topos: BTreeMap<(u32, u64), Topology>,
-    /// Structure requests served by an already-routed structure.
-    pub structure_hits: u64,
-    /// Structures routed from scratch.
-    pub structure_misses: u64,
+    mesh_hits: u64,
+    mesh_misses: u64,
 }
 
 impl<'a> SharedEval<'a> {
@@ -77,8 +69,8 @@ impl<'a> SharedEval<'a> {
             mesh_order: None,
             mesh_structs: BTreeMap::new(),
             mesh_topos: BTreeMap::new(),
-            structure_hits: 0,
-            structure_misses: 0,
+            mesh_hits: 0,
+            mesh_misses: 0,
         }
     }
 
@@ -102,47 +94,23 @@ impl<'a> SharedEval<'a> {
         match cand.family {
             TopologyFamily::Custom { switches } => {
                 let k = switches.clamp(1, n);
-                let pool = self.pools.entry((k, cand.width)).or_insert_with(|| Pool {
-                    structures: load_pool(k, cand.width),
-                    dirty: false,
-                });
-                let cap = capacity_bits(cand.width, cand.clock, self.utilization_cap);
-                let idx = match pool
-                    .structures
-                    .iter()
-                    .position(|s| s.admits(cand.width, cap))
-                {
-                    Some(i) => {
-                        self.structure_hits += 1;
-                        Some(i)
-                    }
-                    None => {
-                        self.structure_misses += 1;
-                        let part = &self.parts[&k];
-                        build_structure(
-                            spec,
-                            part,
-                            fp,
-                            cand.width,
-                            cand.clock,
-                            self.utilization_cap,
-                        )
-                        .ok()
-                        .map(|s| {
-                            pool.structures.push(s);
-                            pool.dirty = true;
-                            pool.structures.len() - 1
-                        })
-                    }
-                };
-                idx.and_then(|i| {
-                    pool.structures[i].evaluate(
-                        cand.clock,
-                        self.tech,
-                        self.utilization_cap,
-                        cand.eval_options(),
+                let (parts, cap) = (self.parts, self.utilization_cap);
+                let pool = self.pools.entry((k, cand.width)).or_insert_with(|| {
+                    StructurePool::new(
+                        spec,
+                        &parts[&k],
+                        fp,
+                        cand.width,
+                        cap,
+                        load_pool(k, cand.width),
                     )
-                })
+                });
+                pool.structure_at(cand.clock)?.evaluate(
+                    cand.clock,
+                    self.tech,
+                    cap,
+                    cand.eval_options(),
+                )
             }
             TopologyFamily::Mesh => {
                 let (rows, cols) = mesh_shape(n);
@@ -152,11 +120,11 @@ impl<'a> SharedEval<'a> {
                     .clone();
                 let structure = match self.mesh_structs.entry(cand.width) {
                     Entry::Occupied(e) => {
-                        self.structure_hits += 1;
+                        self.mesh_hits += 1;
                         e.into_mut()
                     }
                     Entry::Vacant(e) => {
-                        self.structure_misses += 1;
+                        self.mesh_misses += 1;
                         e.insert(order.and_then(|o| {
                             build_mesh_structure(spec, o, rows, cols, cand.width, Some(fp)).ok()
                         }))
@@ -179,7 +147,17 @@ impl<'a> SharedEval<'a> {
     pub fn dirty_pools(&self) -> impl Iterator<Item = ((usize, u32), &[CandidateStructure])> {
         self.pools
             .iter()
-            .filter(|(_, pool)| pool.dirty)
-            .map(|(&key, pool)| (key, pool.structures.as_slice()))
+            .filter(|(_, pool)| pool.is_dirty())
+            .map(|(&key, pool)| (key, pool.structures()))
+    }
+
+    /// Structure requests served by an already-routed structure.
+    pub fn structure_hits(&self) -> u64 {
+        self.mesh_hits + self.pools.values().map(StructurePool::hits).sum::<u64>()
+    }
+
+    /// Structure requests that routed a structure (failed ones included).
+    pub fn structure_misses(&self) -> u64 {
+        self.mesh_misses + self.pools.values().map(StructurePool::misses).sum::<u64>()
     }
 }

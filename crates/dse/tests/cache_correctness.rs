@@ -51,7 +51,6 @@ proptest! {
         let grid = small_grid();
         let store = Store::in_memory();
         let cold = explore(&cfg(seed), &grid, &store).expect("cold");
-        store.reset_counters();
         let warm = explore(&cfg(seed), &grid, &store).expect("warm");
         prop_assert_eq!(warm.store_stats.misses, 0);
         prop_assert_eq!(
@@ -59,7 +58,6 @@ proptest! {
             cold.front.canonical_bytes()
         );
         // A different seed is a different namespace: nothing may hit.
-        store.reset_counters();
         let other = explore(&cfg(seed ^ 0xA5A5), &grid, &store).expect("other");
         prop_assert_eq!(other.store_stats.hits, 0);
     }

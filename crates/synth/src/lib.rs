@@ -13,7 +13,8 @@
 //! * [`mapping`] — the regular-mesh baseline (greedy + swap refinement),
 //!   evaluated with the same models for fair comparison;
 //! * [`eval`] — power/area/latency evaluation of any design point;
-//! * [`pareto`] — non-dominated filtering.
+//! * [`pareto`] — non-dominated filtering on (power, latency), shared
+//!   with the DSE's online front.
 //!
 //! ## Example
 //!
@@ -44,12 +45,11 @@ pub mod sunfloor;
 pub use crate::error::SynthError;
 pub use crate::eval::{evaluate, evaluate_with_options, DesignMetrics, EvalOptions};
 pub use crate::mapping::{
-    build_mesh_structure, map_to_mesh, map_to_mesh_with_options, mesh_order, MappedDesign,
-    MeshStructure,
+    build_mesh_structure, map_to_mesh, mesh_order, MappedDesign, MeshStructure,
 };
 pub use crate::pareto::pareto_front;
 pub use crate::partition::{partition, Partition};
 pub use crate::sunfloor::{
     build_structure, capacity_bits, synthesize, synthesize_candidate, synthesize_min_power,
-    synthesize_with_runner, CandidateStructure, SynthesisConfig, SynthesizedDesign,
+    synthesize_with_runner, CandidateStructure, StructurePool, SynthesisConfig, SynthesizedDesign,
 };

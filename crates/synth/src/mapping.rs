@@ -86,7 +86,8 @@ impl MeshStructure {
     }
 
     /// Full parameter phase producing a [`MappedDesign`] (bit-identical
-    /// to [`map_to_mesh_with_options`] for the same inputs).
+    /// to the same call on a structure built afresh from the same
+    /// inputs, so one structure serves every clock and buffering).
     pub fn to_design(&self, clock: Hertz, tech: TechNode, options: EvalOptions) -> MappedDesign {
         let topo = self.retimed_topology(clock, tech);
         let metrics = self.evaluate_retimed(&topo, clock, tech, options);
@@ -142,7 +143,8 @@ fn placement_cost(spec: &AppSpec, order: &[CoreId], rows: usize, cols: usize) ->
     cost
 }
 
-/// Maps `spec` onto a `rows × cols` mesh at `clock` and evaluates it.
+/// Maps `spec` onto a `rows × cols` mesh at `clock` and evaluates it
+/// with the default [`EvalOptions`].
 ///
 /// # Errors
 ///
@@ -158,39 +160,9 @@ pub fn map_to_mesh(
     tech: TechNode,
     floorplan: Option<&CoreFloorplan>,
 ) -> Result<MappedDesign, SynthError> {
-    map_to_mesh_with_options(
-        spec,
-        rows,
-        cols,
-        clock,
-        flit_width,
-        tech,
-        floorplan,
-        EvalOptions::default(),
-    )
-}
-
-/// [`map_to_mesh`] with explicit microarchitectural [`EvalOptions`] —
-/// the mesh arm of the DSE candidate grid, where buffering and VC
-/// count are swept alongside width and clock.
-///
-/// # Errors
-///
-/// Same as [`map_to_mesh`].
-#[allow(clippy::too_many_arguments)]
-pub fn map_to_mesh_with_options(
-    spec: &AppSpec,
-    rows: usize,
-    cols: usize,
-    clock: Hertz,
-    flit_width: u32,
-    tech: TechNode,
-    floorplan: Option<&CoreFloorplan>,
-    options: EvalOptions,
-) -> Result<MappedDesign, SynthError> {
     let order = mesh_order(spec, rows, cols)?;
     let structure = build_mesh_structure(spec, order, rows, cols, flit_width, floorplan)?;
-    Ok(structure.to_design(clock, tech, options))
+    Ok(structure.to_design(clock, tech, EvalOptions::default()))
 }
 
 /// Core placement order for a `rows × cols` mesh: descending traffic
@@ -365,15 +337,17 @@ mod tests {
     #[test]
     fn shared_mesh_structure_matches_from_scratch() {
         // One structure per width, re-evaluated across the full
-        // clock × buffering sub-grid, must reproduce the monolithic
-        // path bit-for-bit.
+        // clock × buffering sub-grid, must reproduce a structure built
+        // afresh for each point bit-for-bit.
         let spec = presets::mobile_multimedia_soc();
         let fp = CoreFloorplan::from_spec(&spec, 42);
         let (rows, cols) = (5, 6);
-        let order = mesh_order(&spec, rows, cols).expect("orderable");
+        let fresh = |width: u32| {
+            let order = mesh_order(&spec, rows, cols).expect("orderable");
+            build_mesh_structure(&spec, order, rows, cols, width, Some(&fp)).expect("buildable")
+        };
         for width in [32u32, 64] {
-            let s = build_mesh_structure(&spec, order.clone(), rows, cols, width, Some(&fp))
-                .expect("buildable");
+            let s = fresh(width);
             for clock_mhz in [400u64, 900] {
                 let clock = Hertz::from_mhz(clock_mhz);
                 for (depth, vcs) in [(2u32, 1u32), (4, 2)] {
@@ -383,17 +357,7 @@ mod tests {
                         ..EvalOptions::default()
                     };
                     let shared = s.to_design(clock, TechNode::NM65, options);
-                    let scratch = map_to_mesh_with_options(
-                        &spec,
-                        rows,
-                        cols,
-                        clock,
-                        width,
-                        TechNode::NM65,
-                        Some(&fp),
-                        options,
-                    )
-                    .expect("mappable");
+                    let scratch = fresh(width).to_design(clock, TechNode::NM65, options);
                     assert_eq!(shared.metrics, scratch.metrics, "w={width} {clock_mhz}MHz");
                     assert_eq!(shared.order, scratch.order);
                     assert_eq!(shared.demands, scratch.demands);

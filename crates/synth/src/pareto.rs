@@ -1,24 +1,26 @@
-//! Pareto filtering of design points.
+//! Pareto filtering of design points on (power, latency).
 //!
 //! §6: "From the set of all Pareto optimal points, the designer can then
-//! choose a NoC instance."
+//! choose a NoC instance." The flow's batch filter ([`pareto_front`])
+//! and the DSE's online front (`noc_dse::ParetoFront`) apply the one
+//! dominance rule defined here.
 
-/// Returns the indices of the non-dominated items under the given
-/// objective extractors (all minimized). An item dominates another if it
-/// is no worse in every objective and strictly better in at least one.
+/// Whether the point `a` dominates `b` on (power, latency), both
+/// minimized: no worse on either axis and strictly better on at least
+/// one. A point never dominates itself or an identical point.
+pub fn dominates(a: (f64, f64), b: (f64, f64)) -> bool {
+    a.0 <= b.0 && a.1 <= b.1 && (a.0 < b.0 || a.1 < b.1)
+}
+
+/// Returns the indices, ascending, of the items no other item
+/// [`dominates`] under `key`, which maps an item to its (power,
+/// latency) point.
 ///
-/// Ties (identical objective vectors) all survive.
-pub fn pareto_front<T>(items: &[T], objectives: &[&dyn Fn(&T) -> f64]) -> Vec<usize> {
-    assert!(!objectives.is_empty(), "need at least one objective");
-    let scores: Vec<Vec<f64>> = items
-        .iter()
-        .map(|it| objectives.iter().map(|f| f(it)).collect())
-        .collect();
-    let dominates = |a: &[f64], b: &[f64]| -> bool {
-        a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
-    };
-    (0..items.len())
-        .filter(|&i| !(0..items.len()).any(|j| j != i && dominates(&scores[j], &scores[i])))
+/// Ties (identical points) all survive.
+pub fn pareto_front<T>(items: &[T], key: impl Fn(&T) -> (f64, f64)) -> Vec<usize> {
+    let points: Vec<(f64, f64)> = items.iter().map(key).collect();
+    (0..points.len())
+        .filter(|&i| !points.iter().any(|&q| dominates(q, points[i])))
         .collect()
 }
 
@@ -26,36 +28,26 @@ pub fn pareto_front<T>(items: &[T], objectives: &[&dyn Fn(&T) -> f64]) -> Vec<us
 mod tests {
     use super::*;
 
+    fn front(pts: &[(f64, f64)]) -> Vec<usize> {
+        pareto_front(pts, |&p| p)
+    }
+
     #[test]
     fn simple_two_objective_front() {
-        // (power, latency) points.
         let pts = vec![(1.0, 5.0), (2.0, 3.0), (4.0, 1.0), (3.0, 4.0), (5.0, 5.0)];
-        let f1: &dyn Fn(&(f64, f64)) -> f64 = &|p| p.0;
-        let f2: &dyn Fn(&(f64, f64)) -> f64 = &|p| p.1;
-        let front = pareto_front(&pts, &[f1, f2]);
-        assert_eq!(front, vec![0, 1, 2]);
+        assert_eq!(front(&pts), vec![0, 1, 2]);
     }
 
     #[test]
     fn identical_points_all_survive() {
         let pts = vec![(1.0, 1.0), (1.0, 1.0)];
-        let f1: &dyn Fn(&(f64, f64)) -> f64 = &|p| p.0;
-        let f2: &dyn Fn(&(f64, f64)) -> f64 = &|p| p.1;
-        assert_eq!(pareto_front(&pts, &[f1, f2]).len(), 2);
-    }
-
-    #[test]
-    fn single_objective_keeps_minimum_only() {
-        let pts = vec![3.0, 1.0, 2.0];
-        let f: &dyn Fn(&f64) -> f64 = &|x| *x;
-        assert_eq!(pareto_front(&pts, &[f]), vec![1]);
+        assert!(!dominates(pts[0], pts[1]));
+        assert_eq!(front(&pts).len(), 2);
     }
 
     #[test]
     fn empty_input_gives_empty_front() {
-        let pts: Vec<f64> = vec![];
-        let f: &dyn Fn(&f64) -> f64 = &|x| *x;
-        assert!(pareto_front(&pts, &[f]).is_empty());
+        assert!(front(&[]).is_empty());
     }
 
     #[test]
@@ -67,9 +59,7 @@ mod tests {
                 (x, y)
             })
             .collect();
-        let f1: &dyn Fn(&(f64, f64)) -> f64 = &|p| p.0;
-        let f2: &dyn Fn(&(f64, f64)) -> f64 = &|p| p.1;
-        let front = pareto_front(&pts, &[f1, f2]);
+        let front = front(&pts);
         for &i in &front {
             for &j in &front {
                 if i == j {

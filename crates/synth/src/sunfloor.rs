@@ -314,8 +314,8 @@ pub(crate) fn build_fabric_base(
 
 /// Floorplan-aware inter-cluster distance matrix (row-major `k×k`,
 /// Manhattan centroid distances clamped to ≥ 1). Depends only on
-/// `(partition, floorplan)`, so the sweep hoists it per switch count
-/// and shares it across every width/clock candidate.
+/// `(partition, floorplan)`, so a [`StructurePool`] computes it once and
+/// shares it across every clock it routes.
 pub(crate) fn cluster_distances(part: &Partition, floorplan: &CoreFloorplan) -> Vec<f64> {
     let k = part.clusters;
     let members = part.members();
@@ -363,9 +363,9 @@ fn ss_chain(route: &Route) -> &[LinkId] {
 /// The aggregated, routing-ordered traffic program of a spec at one
 /// link width: per-(class, endpoint pair) demands inflated by the
 /// packetization header overhead, heaviest pair first. The program
-/// depends only on `(spec, width)`, so the candidate sweep computes it
-/// once per width and shares it across every (switch count, clock)
-/// build instead of re-aggregating and re-sorting inside each one.
+/// depends only on `(spec, width)`, so a [`StructurePool`] computes it
+/// once and shares it across every clock it routes instead of
+/// re-aggregating and re-sorting inside each build.
 ///
 /// Tie-breaks reproduce the historical in-builder sort (ascending src
 /// NI id, then dst NI id) exactly: `build_fabric_base` creates NIs in
@@ -788,61 +788,139 @@ pub fn build_structure(
     clock: Hertz,
     utilization_cap: f64,
 ) -> Result<CandidateStructure, SynthError> {
-    let dist = cluster_distances(part, fp);
-    let program = flow_program(spec, width)?;
-    build_structure_with_dist(
-        spec,
-        part,
-        fp,
-        &dist,
-        &program,
-        width,
-        clock,
-        utilization_cap,
-    )
+    StructurePool::new(spec, part, fp, width, utilization_cap, Vec::new()).route(clock)
 }
 
-/// [`build_structure`] with a precomputed [`cluster_distances`] matrix
-/// and [`flow_program`] (hoisted per switch count / per width by the
-/// sweep).
-#[allow(clippy::too_many_arguments)]
-fn build_structure_with_dist(
-    spec: &AppSpec,
-    part: &Partition,
-    fp: &CoreFloorplan,
-    dist: &[f64],
-    program: &[ProgramEntry],
+/// The routed structures of one `(switch count, width)` group of a
+/// spec: the structure-sharing evaluator of both the synthesis sweep
+/// ([`synthesize_with_runner`]) and the DSE (`noc_dse::SharedEval`).
+///
+/// [`StructurePool::structure_at`] serves a clock from the first pooled
+/// structure whose capacity signature [`admits`] the link capacity at
+/// that clock, and routes a new one otherwise. Callers run the
+/// parameter phase ([`CandidateStructure::to_design`] or
+/// [`CandidateStructure::evaluate`]) on the result themselves, which is
+/// bit-identical to [`synthesize_candidate`] at the same clock.
+///
+/// The [`cluster_distances`] matrix and the [`flow_program`] depend
+/// only on the group, so they are computed once when the pool is made.
+///
+/// [`admits`]: CandidateStructure::admits
+pub struct StructurePool<'a> {
+    spec: &'a AppSpec,
+    part: &'a Partition,
+    fp: &'a CoreFloorplan,
     width: u32,
-    clock: Hertz,
     utilization_cap: f64,
-) -> Result<CandidateStructure, SynthError> {
-    let capacity = capacity_bits(width, clock, utilization_cap);
-    let mut builder = Builder::new(spec, part, dist, width, capacity);
-    builder.route_all(program)?;
-    builder.ensure_backbone();
-    let placement = insert_noc(fp, &builder.topo);
-    Ok(CandidateStructure {
-        topology: builder.topo,
-        routes: builder.routes,
-        demands: builder.demands,
-        placement,
-        cluster_of_core: builder.cluster_of_core,
-        switch_count: part.clusters,
-        flit_width: width,
-        cap_lo: builder.cap_lo,
-        cap_hi: builder.cap_hi,
-        opened: builder.opened,
-    })
+    dist: Vec<f64>,
+    program: Result<Vec<ProgramEntry>, SynthError>,
+    structures: Vec<CandidateStructure>,
+    dirty: bool,
+    hits: u64,
+    misses: u64,
+}
+
+impl<'a> StructurePool<'a> {
+    /// A pool for `spec` clustered by `part` and placed by `fp`, routing
+    /// links of `width` bits under `utilization_cap`. `structures` seeds
+    /// the pool (for example from a cache); each must have been routed
+    /// for the same group.
+    pub fn new(
+        spec: &'a AppSpec,
+        part: &'a Partition,
+        fp: &'a CoreFloorplan,
+        width: u32,
+        utilization_cap: f64,
+        structures: Vec<CandidateStructure>,
+    ) -> StructurePool<'a> {
+        StructurePool {
+            spec,
+            part,
+            fp,
+            width,
+            utilization_cap,
+            dist: cluster_distances(part, fp),
+            program: flow_program(spec, width),
+            structures,
+            dirty: false,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The structure serving `clock`: a pooled one that admits its
+    /// link capacity (a hit), else one routed now and added to the
+    /// pool (a miss). `None` when routing fails; that counts as a miss
+    /// and adds nothing.
+    pub fn structure_at(&mut self, clock: Hertz) -> Option<&CandidateStructure> {
+        let cap = capacity_bits(self.width, clock, self.utilization_cap);
+        if let Some(i) = self
+            .structures
+            .iter()
+            .position(|s| s.admits(self.width, cap))
+        {
+            self.hits += 1;
+            return Some(&self.structures[i]);
+        }
+        self.misses += 1;
+        let built = self.route(clock).ok()?;
+        self.structures.push(built);
+        self.dirty = true;
+        self.structures.last()
+    }
+
+    /// Structure phase at `clock`, whatever the pool holds.
+    fn route(&self, clock: Hertz) -> Result<CandidateStructure, SynthError> {
+        let program = self.program.as_ref().map_err(Clone::clone)?;
+        let capacity = capacity_bits(self.width, clock, self.utilization_cap);
+        let mut builder = Builder::new(self.spec, self.part, &self.dist, self.width, capacity);
+        builder.route_all(program)?;
+        builder.ensure_backbone();
+        let placement = insert_noc(self.fp, &builder.topo);
+        Ok(CandidateStructure {
+            topology: builder.topo,
+            routes: builder.routes,
+            demands: builder.demands,
+            placement,
+            cluster_of_core: builder.cluster_of_core,
+            switch_count: self.part.clusters,
+            flit_width: self.width,
+            cap_lo: builder.cap_lo,
+            cap_hi: builder.cap_hi,
+            opened: builder.opened,
+        })
+    }
+
+    /// Every structure in the pool, seeded ones first, then in the
+    /// order they were routed.
+    pub fn structures(&self) -> &[CandidateStructure] {
+        &self.structures
+    }
+
+    /// Whether the pool routed a structure beyond its seed.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+
+    /// Clocks served by a structure already in the pool.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Clocks that needed a structure routed (failed routings included).
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
 }
 
 /// Builds, routes and evaluates one `(partition, width, clock)`
 /// candidate — structure phase + parameter phase back to back —
 /// returning `None` when routing fails or the design is infeasible.
 ///
-/// Public as `synthesize_candidate` so the batch DSE engine
-/// (`noc-dse`) can drive single candidates against externally cached
-/// partition/floorplan stage outputs. The call is deterministic: no
-/// randomness, all inputs by reference.
+/// This is the per-point reference that [`StructurePool`] must
+/// reproduce: the A9 ablation's per-grid-point baseline, `check_all`
+/// and the structure-sharing tests call it. The call is deterministic:
+/// no randomness, all inputs by reference.
 pub fn synthesize_candidate(
     spec: &AppSpec,
     cfg: &SynthesisConfig,
@@ -906,17 +984,14 @@ pub fn synthesize(
 /// [`synthesize`] with an explicit [`ParRunner`] (worker count).
 ///
 /// The unit of parallel work is a `(switch count, width)` group: each
-/// group partitions the spec, hoists the cluster distance matrix, then
-/// walks the clock sweep reusing one [`CandidateStructure`] for every
-/// clock whose capacity the recorded signature [`admits`]
-/// (re-routing from scratch otherwise), so only the cheap parameter
-/// phase runs per clock. Results are collected **by group index** and
+/// group partitions the spec and walks the clock sweep through one
+/// [`StructurePool`], so a routed structure is reused for every clock
+/// its capacity signature admits and only the cheap parameter phase
+/// runs per clock. Results are collected **by group index** and
 /// flattened in the serial `(k, width, clock)` sweep order, so the
 /// output is bit-identical whatever the thread count — the same
 /// contract the simulator sweeps enforce (DESIGN.md, "Deterministic
 /// parallel sweeps").
-///
-/// [`admits`]: CandidateStructure::admits
 ///
 /// # Errors
 ///
@@ -952,59 +1027,27 @@ pub fn synthesize_with_runner(
         }
     }
     let opts = eval_options(cfg);
-    // One traffic program per width, shared by every (switch count,
-    // clock) build of that width. A per-width program error (a flow
-    // endpoint with no NI) fails every build of that width, exactly as
-    // the in-builder aggregation did.
-    let programs: BTreeMap<u32, Result<Vec<ProgramEntry>, SynthError>> =
-        widths.iter().map(|&w| (w, flow_program(spec, w))).collect();
     // The affinity matrix and volume ranking depend only on the spec,
     // so every (switch count, width) group shares one copy.
     let traffic = TrafficContext::of(spec);
-    let results =
-        runner.run(cfg.seed, &groups, |&(k, width), _seed| {
-            let program = match &programs[&width] {
-                Ok(p) => p.as_slice(),
-                Err(_) => return (0..cfg.clocks.len()).map(|_| None).collect(),
-            };
-            let part = partition_with_traffic(spec, k, cfg.cluster_slack, &traffic);
-            let dist = cluster_distances(&part, fp);
-            let mut structures: Vec<CandidateStructure> = Vec::new();
-            let mut out: Vec<Option<SynthesizedDesign>> = Vec::with_capacity(cfg.clocks.len());
-            for &clock in &cfg.clocks {
-                let cap = capacity_bits(width, clock, cfg.utilization_cap);
-                let structure = match structures.iter().position(|s| s.admits(width, cap)) {
-                    Some(i) => Some(i),
-                    None => match build_structure_with_dist(
-                        spec,
-                        &part,
-                        fp,
-                        &dist,
-                        program,
-                        width,
-                        clock,
-                        cfg.utilization_cap,
-                    ) {
-                        Ok(s) => {
-                            structures.push(s);
-                            Some(structures.len() - 1)
-                        }
-                        Err(_) => None,
-                    },
-                };
-                out.push(structure.and_then(|i| {
-                    structures[i].to_design(clock, cfg.tech, cfg.utilization_cap, opts)
-                }));
-            }
-            out
-        });
+    let results = runner.run(cfg.seed, &groups, |&(k, width), _seed| {
+        let part = partition_with_traffic(spec, k, cfg.cluster_slack, &traffic);
+        let mut pool = StructurePool::new(spec, &part, fp, width, cfg.utilization_cap, Vec::new());
+        cfg.clocks
+            .iter()
+            .map(|&clock| {
+                pool.structure_at(clock)
+                    .and_then(|s| s.to_design(clock, cfg.tech, cfg.utilization_cap, opts))
+            })
+            .collect::<Vec<_>>()
+    });
     let designs: Vec<SynthesizedDesign> = results.into_iter().flatten().flatten().collect();
     if designs.is_empty() {
         return Err(SynthError::NoFeasibleDesign);
     }
-    let power: &dyn Fn(&SynthesizedDesign) -> f64 = &|d| d.metrics.power.raw();
-    let latency: &dyn Fn(&SynthesizedDesign) -> f64 = &|d| d.metrics.mean_latency_cycles;
-    let front = pareto_front(&designs, &[power, latency]);
+    let front = pareto_front(&designs, |d| {
+        (d.metrics.power.raw(), d.metrics.mean_latency_cycles)
+    });
     let mut keep = vec![false; designs.len()];
     for &i in &front {
         keep[i] = true;
@@ -1200,9 +1243,9 @@ mod tests {
 
     #[test]
     fn shared_structure_matches_from_scratch_on_fig6_sweep() {
-        // The synthesize() sweep itself shares structures across clocks;
-        // cross-check every candidate against an independent
-        // from-scratch build.
+        // The synthesize() sweep shares structures across clocks through
+        // a StructurePool; cross-check every candidate against an
+        // independent from-scratch build.
         let spec = presets::mobile_multimedia_soc();
         let cfg = SynthesisConfig {
             min_switches: 4,
@@ -1216,30 +1259,16 @@ mod tests {
         for k in 4..=6 {
             let part = partition(&spec, k, cfg.cluster_slack);
             for &width in &cfg.widths {
-                let mut structures: Vec<CandidateStructure> = Vec::new();
+                let mut pool =
+                    StructurePool::new(&spec, &part, &fp, width, cfg.utilization_cap, Vec::new());
                 for &clock in &[Hertz::from_mhz(400), Hertz::from_mhz(900)] {
-                    let cap = capacity_bits(width, clock, cfg.utilization_cap);
-                    let si = match structures.iter().position(|s| s.admits(width, cap)) {
-                        Some(i) => Some(i),
-                        None => {
-                            build_structure(&spec, &part, &fp, width, clock, cfg.utilization_cap)
-                                .ok()
-                                .map(|s| {
-                                    structures.push(s);
-                                    structures.len() - 1
-                                })
-                        }
-                    };
-                    shared.push(si.and_then(|i| {
-                        structures[i].to_design(
-                            clock,
-                            cfg.tech,
-                            cfg.utilization_cap,
-                            eval_options(&cfg),
-                        )
+                    shared.push(pool.structure_at(clock).and_then(|s| {
+                        s.to_design(clock, cfg.tech, cfg.utilization_cap, eval_options(&cfg))
                     }));
                     scratch.push(synthesize_candidate(&spec, &cfg, &part, &fp, width, clock));
                 }
+                assert_eq!(pool.hits() + pool.misses(), 2);
+                assert_eq!(pool.is_dirty(), !pool.structures().is_empty());
             }
         }
         assert_eq!(shared, scratch);

@@ -1,9 +1,9 @@
 //! Property-based acceptance test of the structure-sharing contract:
 //! for ANY spec and ANY point of the (width, clock, buffering) grid,
-//! evaluating a pooled [`CandidateStructure`] (reused whenever its
-//! capacity signature admits the candidate's capacity) must be
-//! **bit-identical** to synthesizing that candidate from scratch —
-//! including which candidates are infeasible.
+//! evaluating the structure a [`StructurePool`] serves (a pooled one
+//! whenever its capacity signature admits the candidate's capacity)
+//! must be **bit-identical** to synthesizing that candidate from
+//! scratch — including which candidates are infeasible.
 
 use noc_floorplan::core_plan::CoreFloorplan;
 use noc_spec::app::AppSpec;
@@ -13,9 +13,7 @@ use noc_spec::units::{BitsPerSecond, Hertz};
 use noc_spec::CoreId;
 use noc_synth::eval::EvalOptions;
 use noc_synth::partition::partition;
-use noc_synth::sunfloor::{
-    build_structure, capacity_bits, synthesize_candidate, CandidateStructure, SynthesisConfig,
-};
+use noc_synth::sunfloor::{synthesize_candidate, StructurePool, SynthesisConfig};
 use proptest::prelude::*;
 
 /// Random role-consistent spec (same shape as `prop.rs`): n cores with
@@ -78,26 +76,18 @@ proptest! {
             let k = k.min(n);
             let part = partition(&spec, k, 1);
             for width in [32u32, 64] {
-                // One pool per (k, width), exactly like the DSE shard.
-                let mut pool: Vec<CandidateStructure> = Vec::new();
+                // One pool per (k, width), exactly like the DSE shard
+                // and the synthesis sweep.
+                let mut pool = StructurePool::new(&spec, &part, &fp, width, UTIL_CAP, Vec::new());
                 for clock_mhz in [400u64, 650, 900] {
                     let clock = Hertz::from_mhz(clock_mhz);
-                    let cap = capacity_bits(width, clock, UTIL_CAP);
-                    let idx = match pool.iter().position(|s| s.admits(width, cap)) {
-                        Some(i) => Some(i),
-                        None => build_structure(&spec, &part, &fp, width, clock, UTIL_CAP)
-                            .ok()
-                            .map(|s| {
-                                pool.push(s);
-                                pool.len() - 1
-                            }),
-                    };
+                    let structure = pool.structure_at(clock);
                     for (depth, vcs) in [(2u32, 1u32), (4, 1), (4, 2)] {
                         let cfg = scfg(width, clock, depth, vcs);
                         let scratch =
                             synthesize_candidate(&spec, &cfg, &part, &fp, width, clock);
-                        let shared = idx.and_then(|i| {
-                            pool[i].to_design(
+                        let shared = structure.and_then(|s| {
+                            s.to_design(
                                 clock,
                                 cfg.tech,
                                 UTIL_CAP,
@@ -116,11 +106,15 @@ proptest! {
                         );
                     }
                 }
+                // Every clock is one hit or one miss; an unseeded pool
+                // is dirty exactly when it routed something.
+                prop_assert_eq!(pool.hits() + pool.misses(), 3);
+                prop_assert_eq!(pool.is_dirty(), !pool.structures().is_empty());
                 // Signature sanity on everything the pool recorded: a
                 // structure never admits the wrong width, never admits
                 // capacities below its recorded floor, and never
                 // admits capacities at/above its recorded ceiling.
-                for s in &pool {
+                for s in pool.structures() {
                     let other_width = if width == 32 { 64 } else { 32 };
                     prop_assert!(s.admits(width, s.cap_lo));
                     prop_assert!(!s.admits(other_width, s.cap_lo));

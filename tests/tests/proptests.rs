@@ -1,6 +1,7 @@
 //! Cross-crate property-based tests (proptest) on the workspace's core
 //! invariants.
 
+use noc::dse::{default_grid, FrontPoint, ParetoFront};
 use noc::floorplan::block::Block;
 use noc::floorplan::slicing::{Net, SlicingFloorplanner};
 use noc::sim::qos::SlotTable;
@@ -129,9 +130,7 @@ proptest! {
     /// drops a non-dominated one.
     #[test]
     fn pareto_front_is_exact(points in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..40)) {
-        let f1: &dyn Fn(&(f64, f64)) -> f64 = &|p| p.0;
-        let f2: &dyn Fn(&(f64, f64)) -> f64 = &|p| p.1;
-        let front = pareto_front(&points, &[f1, f2]);
+        let front = pareto_front(&points, |&p| p);
         let dominated = |i: usize| {
             points.iter().enumerate().any(|(j, q)| {
                 j != i
@@ -143,6 +142,34 @@ proptest! {
         for i in 0..points.len() {
             prop_assert_eq!(front.contains(&i), !dominated(i), "point {}", i);
         }
+    }
+
+    /// The DSE's online front, fed points in order, keeps exactly the
+    /// survivors of the flow's batch filter, in the same order: the two
+    /// fronts apply one dominance rule. Coordinates come from a small
+    /// set so that ties and identical points are common.
+    #[test]
+    fn online_front_keeps_the_batch_survivors(
+        raw in prop::collection::vec((0u8..6, 0u8..6), 0..40),
+    ) {
+        let points: Vec<(f64, f64)> = raw
+            .iter()
+            .map(|&(p, l)| (f64::from(p) * 0.5, f64::from(l)))
+            .collect();
+        let grid = default_grid();
+        let mut online = ParetoFront::new();
+        for (i, &(power_mw, latency_cycles)) in points.iter().enumerate() {
+            online.offer(FrontPoint {
+                spec_index: i as u64,
+                candidate: grid[i % grid.len()],
+                power_mw,
+                latency_cycles,
+                area_um2: 0.0,
+            });
+        }
+        let kept: Vec<usize> = online.points().iter().map(|p| p.spec_index as usize).collect();
+        prop_assert_eq!(kept, pareto_front(&points, |&p| p));
+        prop_assert_eq!(online.offered(), points.len() as u64);
     }
 
     /// Unit conversions round-trip within integer precision.
