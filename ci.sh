@@ -114,11 +114,15 @@ tier1() {
   PROPTEST_CASES=512 cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-floorplan
   # Synthesis bit-identity in the release build users run: the shared
   # structure pool against per-point synthesis, the flow's synthesis at
-  # any thread count, and the DSE's pinned cache keys and store bytes.
+  # any thread count, the DSE's pinned cache keys and store bytes, and
+  # the explorer's streamed in-order merge (store and checkpoint files
+  # at any thread count and checkpoint interval, kill and resume, and
+  # cache replay under perturbation).
   echo "==> tier-1: synthesis bit-identity (release)"
   cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-synth --test structure_sharing
   cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-integration \
-    --test synth_determinism --test dse_golden_keys
+    --test synth_determinism --test dse_golden_keys --test dse_determinism
+  cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-dse --test cache_correctness
 }
 
 smoke() {

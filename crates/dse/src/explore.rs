@@ -2,14 +2,25 @@
 //! content-addressed flow cache, with checkpoint/resume.
 //!
 //! One *shard* is one generated spec evaluated against the whole
-//! candidate grid. Shards are fanned out across
-//! [`noc_par::ParRunner`] in batches; after each batch the main thread
-//! appends newly computed stage outputs to the [`Store`] and merges
-//! shard results into the global [`ParetoFront`] *in shard order*, then
-//! writes a checkpoint. Because the merge order is deterministic and
-//! cached bytes decode bit-identically, the final front is identical
-//! at any thread count, and a killed run resumed from its checkpoint
+//! candidate grid. All shards of a call stream through one
+//! [`noc_par::ParRunner::run_streamed`]: the workers are spawned once
+//! and keep evaluating while the calling thread merges each finished
+//! shard *in shard order* — it appends the shard's newly computed stage
+//! outputs to the [`Store`] in one batch, offers its points to the
+//! global [`ParetoFront`], and writes a checkpoint after every
+//! `checkpoint_every` shards and at the last one. Because the merge
+//! order is deterministic and cached bytes decode bit-identically, the
+//! store file and the final front are identical at any thread count and
+//! checkpoint interval, and a killed run resumed from its checkpoint
 //! produces byte-identical output to an uninterrupted one.
+//!
+//! A shard reads the store through a [`StoreView`], holding it across
+//! consecutive lookups and dropping it before any recompute (a
+//! floorplan, a partition, a candidate evaluation) and right after
+//! loading a structure pool. A std `RwLock` queues new readers behind a
+//! waiting writer, so a view held across a recompute would make the
+//! merge's next append — and every other shard's next lookup — wait for
+//! that recompute.
 //!
 //! ## Cache keys
 //!
@@ -76,7 +87,8 @@ pub struct DseConfig {
     pub cluster_slack: usize,
     /// Annealing chains for per-spec floorplanning.
     pub floorplan_chains: usize,
-    /// Shards per batch: a checkpoint is written after each batch.
+    /// A checkpoint is written after every this many shards, counted
+    /// from the shard the call starts at, and after the last shard.
     pub checkpoint_every: usize,
     /// Stop (checkpointing) after this many shards total — the
     /// kill-mid-sweep switch the resume tests use. `None` runs all.
@@ -145,7 +157,7 @@ pub struct DseReport {
     pub resumed_from: u64,
 }
 
-/// What one shard sends back to the merge thread.
+/// What one shard sends back to the merging (calling) thread.
 struct ShardResult {
     new_entries: Vec<(ContentHash, Vec<u8>)>,
     points: Vec<FrontPoint>,
@@ -156,35 +168,75 @@ struct ShardResult {
     store_misses: u64,
 }
 
+/// A shard's reads of the store: one [`StoreView`] held across
+/// consecutive lookups, taken at the first lookup after a
+/// [`release`](ShardReader::release) (see the module doc).
+struct ShardReader<'a> {
+    store: &'a Store,
+    view: Option<StoreView<'a>>,
+    /// Lookups that hit and missed, in the views released so far.
+    hits: u64,
+    misses: u64,
+}
+
+impl<'a> ShardReader<'a> {
+    fn new(store: &'a Store) -> ShardReader<'a> {
+        ShardReader {
+            store,
+            view: None,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn get(&mut self, key: ContentHash) -> Option<&[u8]> {
+        let store = self.store;
+        self.view.get_or_insert_with(|| store.view()).get(key)
+    }
+
+    /// Drops the view, if one is held; call before every recompute.
+    fn release(&mut self) {
+        if let Some(view) = self.view.take() {
+            self.hits += view.hits();
+            self.misses += view.misses();
+        }
+    }
+}
+
 /// The stored structures of one custom `(k, width)` pool, or none
 /// when the key is absent or its bytes do not decode. Called lazily on
 /// the first candidate-metrics miss that touches the pool, so warm runs
-/// never read structure keys.
+/// never read structure keys. The view is released on return, before
+/// the pool routes anything.
 fn load_pool(
     key: ContentHash,
-    view: &StoreView<'_>,
+    reader: &mut ShardReader<'_>,
     spec: &noc_spec::AppSpec,
     fp: &CoreFloorplan,
 ) -> Vec<CandidateStructure> {
-    view.get(key)
+    let pool = reader
+        .get(key)
         .and_then(|bytes| decode_structures(bytes, spec, fp).ok())
-        .unwrap_or_default()
+        .unwrap_or_default();
+    reader.release();
+    pool
 }
 
 /// Fetches a `Canonical` value by key, recomputing (and scheduling an
-/// append) on miss or undecodable bytes. Returns the value and the
-/// content hash of its canonical bytes.
+/// append) on miss or undecodable bytes, with the view released.
+/// Returns the value and the content hash of its canonical bytes.
 fn cached<T: Canonical>(
-    view: &StoreView<'_>,
+    reader: &mut ShardReader<'_>,
     key: ContentHash,
     new_entries: &mut Vec<(ContentHash, Vec<u8>)>,
     compute: impl FnOnce() -> T,
 ) -> (T, ContentHash) {
-    if let Some(bytes) = view.get(key) {
+    if let Some(bytes) = reader.get(key) {
         if let Ok(value) = T::from_canon_bytes(bytes) {
             return (value, content_hash(bytes));
         }
     }
+    reader.release();
     let value = compute();
     let bytes = value.to_canon_bytes();
     let hash = content_hash(&bytes);
@@ -192,14 +244,15 @@ fn cached<T: Canonical>(
     (value, hash)
 }
 
-/// Evaluates one shard, reading the store only through `view`.
+/// Evaluates one shard, reading `store` through a [`ShardReader`].
 fn eval_shard(
     cfg: &DseConfig,
     grid: &[Candidate],
     run: ContentHash,
-    view: &StoreView<'_>,
+    store: &Store,
     shard: u64,
 ) -> ShardResult {
+    let mut reader = ShardReader::new(store);
     let mut new_entries = Vec::new();
     let spec = generate_spec(cfg.base_seed, shard);
     let spec_hash = content_hash(&spec.to_canon_bytes());
@@ -212,7 +265,7 @@ fn eval_shard(
     // equal-or-better cost ~2.6× faster than the default one.
     let fp_seed = spec_hash.fold_u64() ^ cfg.base_seed;
     let fp_key = hash_parts("fp", &[&run.0, &spec_hash.0]);
-    let (fp, fp_hash) = cached(view, fp_key, &mut new_entries, || {
+    let (fp, fp_hash) = cached(&mut reader, fp_key, &mut new_entries, || {
         CoreFloorplan::from_spec_chains_sized(&spec, fp_seed, cfg.floorplan_chains)
     });
 
@@ -224,7 +277,7 @@ fn eval_shard(
             let k = switches.clamp(1, n);
             parts.entry(k).or_insert_with(|| {
                 let key = hash_parts("part", &[&run.0, &spec_hash.0, &k.to_canon_bytes()]);
-                let (part, hash) = cached(view, key, &mut new_entries, || {
+                let (part, hash) = cached(&mut reader, key, &mut new_entries, || {
                     partition(&spec, k, cfg.cluster_slack)
                 });
                 part_hashes.insert(k, hash);
@@ -273,14 +326,15 @@ fn eval_shard(
             key.part(&part_hashes[&switches.clamp(1, n)].0);
         }
         let key = key.finish();
-        let hit = view
+        let hit = reader
             .get(key)
             .and_then(|b| Option::<DesignMetrics>::from_canon_bytes(b).ok());
         let metrics = match hit {
             Some(v) => v,
             None => {
+                reader.release();
                 let v = shared.evaluate(cand, |k, width| {
-                    load_pool(pool_key(k, width), view, &spec, &fp)
+                    load_pool(pool_key(k, width), &mut reader, &spec, &fp)
                 });
                 new_entries.push((key, v.to_canon_bytes()));
                 v
@@ -303,13 +357,14 @@ fn eval_shard(
     for ((k, width), structures) in shared.dirty_pools() {
         new_entries.push((pool_key(k, width), encode_structures(structures)));
     }
+    reader.release();
     ShardResult {
         new_entries,
         points,
         structure_hits: shared.structure_hits(),
         structure_misses: shared.structure_misses(),
-        store_hits: view.hits(),
-        store_misses: view.misses(),
+        store_hits: reader.hits,
+        store_misses: reader.misses,
     }
 }
 
@@ -399,17 +454,15 @@ pub fn explore(cfg: &DseConfig, grid: &[Candidate], store: &Store) -> std::io::R
     let mut structure_hits = 0u64;
     let mut structure_misses = 0u64;
     let (mut store_hits, mut store_misses) = (0u64, 0u64);
-    while shard < limit {
-        let batch_end = (shard + cfg.checkpoint_every.max(1) as u64).min(limit);
-        let indices: Vec<u64> = (shard..batch_end).collect();
-        // One read view per shard; every view is dropped by the time
-        // `run` returns, before the appends below take the write lock.
-        let results = runner.run(cfg.base_seed, &indices, |&idx, _seed| {
-            eval_shard(cfg, grid, run, &store.view(), idx)
-        });
-        // Deterministic merge: ParRunner returns results in point
-        // order regardless of which worker ran what.
-        for r in results {
+    let every = cfg.checkpoint_every.max(1) as u64;
+    let indices: Vec<u64> = (start..limit).collect();
+    // Deterministic merge: the sink runs on this thread, in shard
+    // order, while the workers evaluate the shards after it.
+    runner.run_streamed(
+        cfg.base_seed,
+        &indices,
+        |&idx, _seed| eval_shard(cfg, grid, run, store, idx),
+        |_, r| {
             store.insert_batch(r.new_entries)?;
             structure_hits += r.structure_hits;
             structure_misses += r.structure_misses;
@@ -418,21 +471,22 @@ pub fn explore(cfg: &DseConfig, grid: &[Candidate], store: &Store) -> std::io::R
             for p in r.points {
                 front.offer(p);
             }
-        }
-        candidates_evaluated += (batch_end - shard) * grid.len() as u64;
-        shard = batch_end;
-        if let Some(path) = &ckpt_path {
-            write_checkpoint(
-                path,
-                run,
-                &Checkpoint {
-                    shards_done: shard,
-                    candidates_evaluated,
-                    front: front.clone(),
-                },
-            )?;
-        }
-    }
+            candidates_evaluated += grid.len() as u64;
+            shard += 1;
+            match &ckpt_path {
+                Some(path) if (shard - start) % every == 0 || shard == limit => write_checkpoint(
+                    path,
+                    run,
+                    &Checkpoint {
+                        shards_done: shard,
+                        candidates_evaluated,
+                        front: front.clone(),
+                    },
+                ),
+                _ => Ok(()),
+            }
+        },
+    )?;
 
     Ok(DseReport {
         specs_explored: shard,
@@ -664,14 +718,19 @@ mod tests {
         let stored = 7u64.to_canon_bytes();
         store.insert_batch([(key, stored.clone())]).expect("insert");
         let mut new_entries = Vec::new();
-        let view = store.view();
-        let (value, hash) = cached(&view, key, &mut new_entries, || -> u64 {
+        let mut reader = ShardReader::new(&store);
+        let (value, hash) = cached(&mut reader, key, &mut new_entries, || -> u64 {
             panic!("a hit must not recompute")
         });
         assert_eq!(value, 7);
         assert_eq!(hash, content_hash(&stored));
         assert!(new_entries.is_empty());
-        assert_eq!((view.hits(), view.misses()), (1, 0));
+        assert!(
+            reader.view.is_some(),
+            "a hit keeps the view for the next lookup"
+        );
+        reader.release();
+        assert_eq!((reader.hits, reader.misses), (1, 0));
     }
 
     #[test]
@@ -682,16 +741,21 @@ mod tests {
         store
             .insert_batch([(garbled, vec![1, 2, 3])])
             .expect("insert");
-        let view = store.view();
+        let mut reader = ShardReader::new(&store);
         for key in [missing, garbled] {
             let mut new_entries = Vec::new();
-            let (value, hash) = cached(&view, key, &mut new_entries, || 9u64);
+            let (value, hash) = cached(&mut reader, key, &mut new_entries, || 9u64);
+            assert!(
+                reader.view.is_none(),
+                "the view is dropped before a recompute"
+            );
             assert_eq!(value, 9);
             assert_eq!(hash, content_hash(&9u64.to_canon_bytes()));
             assert_eq!(new_entries, vec![(key, 9u64.to_canon_bytes())]);
         }
         // An undecodable record is still a store hit; only its bytes fail.
-        assert_eq!((view.hits(), view.misses()), (1, 1));
+        assert_eq!((reader.hits, reader.misses), (1, 1));
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 1));
     }
 
     #[test]

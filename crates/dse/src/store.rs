@@ -53,10 +53,15 @@
 //! once, when it is dropped, so readers on several threads share no
 //! cache line per lookup. [`Store::get`] is a one-lookup view that
 //! copies the payload out. A view holds the read lock for as long as it
-//! lives: never call [`Store::insert_batch`] on a thread that holds a
-//! view of the same store, or the write lock waits for that thread
-//! forever. `explore` holds one view per shard and inserts only after
-//! every shard of a batch has returned.
+//! lives: never call [`Store::insert_batch`] with a non-empty batch on a
+//! thread that holds a view of the same store, or the write lock waits
+//! for that thread forever. An empty batch returns before it takes the
+//! lock, so a warm replay, which appends nothing, never contends with
+//! its readers. The std `RwLock` makes new readers wait behind a
+//! waiting writer, so a reader should not hold a view across long work
+//! either: `explore`'s shards hold one view across consecutive lookups
+//! and drop it before every recompute, while the calling thread appends
+//! each finished shard's records.
 //!
 //! Every handle appends in append mode under an exclusive file lock,
 //! and open reads and repairs the file under the same lock, so several
@@ -374,8 +379,8 @@ impl Store {
 
     /// A read view for a run of lookups: takes the read lock once and
     /// adds its hit and miss counts to the store's when dropped. Never
-    /// call [`insert_batch`](Store::insert_batch) on a thread that
-    /// holds a view (see the module doc).
+    /// call [`insert_batch`](Store::insert_batch) with a non-empty
+    /// batch on a thread that holds a view (see the module doc).
     pub fn view(&self) -> StoreView<'_> {
         StoreView {
             store: self,
@@ -393,7 +398,8 @@ impl Store {
     /// Inserts a batch of entries, appending each new key to the
     /// backing file (existing keys are not rewritten: content
     /// addressing makes re-insertion a no-op, and of two entries of one
-    /// key in a batch the first is kept).
+    /// key in a batch the first is kept). An empty batch returns at
+    /// once, without taking the write lock.
     ///
     /// # Errors
     ///
@@ -404,6 +410,9 @@ impl Store {
         entries: impl IntoIterator<Item = (ContentHash, Vec<u8>)>,
     ) -> std::io::Result<()> {
         let entries: Vec<(ContentHash, Vec<u8>)> = entries.into_iter().collect();
+        if entries.is_empty() {
+            return Ok(());
+        }
         let mut records = self.records.write().expect("store lock");
         let segment = records.segments.len();
         // Sized up front: a segment grown by doubling keeps up to half
@@ -987,6 +996,31 @@ mod tests {
         drop(store);
         assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// An empty batch must not take the write lock: on a thread that
+    /// holds a view, taking it would wait for that thread forever. The
+    /// call runs on its own thread so that a hang fails the test.
+    #[test]
+    fn an_empty_batch_under_a_view_on_the_same_thread_returns() {
+        let store = std::sync::Arc::new(Store::in_memory());
+        store
+            .insert_batch([(content_hash(b"held"), b"v".to_vec())])
+            .expect("insert");
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::sync::Arc::clone(&store);
+        let handle = std::thread::spawn(move || {
+            let view = worker.view();
+            let out = worker.insert_batch([]);
+            drop(view);
+            let _ = done.send(out.map_err(|e| e.to_string()));
+        });
+        let out = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("insert_batch of an empty batch hung under a view");
+        handle.join().expect("the worker returned");
+        assert_eq!(out, Ok(()));
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

@@ -1245,7 +1245,12 @@ mod tests {
     fn shared_structure_matches_from_scratch_on_fig6_sweep() {
         // The synthesize() sweep shares structures across clocks through
         // a StructurePool; cross-check every candidate against an
-        // independent from-scratch build.
+        // independent from-scratch build. Each group is visited in three
+        // clock orders, two of which the capacity signature must refuse
+        // wherever the capacity changed the routing: 100 MHz after
+        // 900 MHz falls below the loads the first routing passed, and
+        // 400 MHz after 100 MHz reaches the capacity at which a load the
+        // first routing refused would pass.
         let spec = presets::mobile_multimedia_soc();
         let cfg = SynthesisConfig {
             min_switches: 4,
@@ -1256,21 +1261,35 @@ mod tests {
         let fp = CoreFloorplan::from_spec(&spec, 42);
         let mut shared: Vec<Option<SynthesizedDesign>> = Vec::new();
         let mut scratch: Vec<Option<SynthesizedDesign>> = Vec::new();
+        let mut refused = 0;
         for k in 4..=6 {
             let part = partition(&spec, k, cfg.cluster_slack);
             for &width in &cfg.widths {
-                let mut pool =
-                    StructurePool::new(&spec, &part, &fp, width, cfg.utilization_cap, Vec::new());
-                for &clock in &[Hertz::from_mhz(400), Hertz::from_mhz(900)] {
-                    shared.push(pool.structure_at(clock).and_then(|s| {
-                        s.to_design(clock, cfg.tech, cfg.utilization_cap, eval_options(&cfg))
-                    }));
-                    scratch.push(synthesize_candidate(&spec, &cfg, &part, &fp, width, clock));
+                for mhz in [[400, 900], [900, 100], [100, 400]] {
+                    let mut pool = StructurePool::new(
+                        &spec,
+                        &part,
+                        &fp,
+                        width,
+                        cfg.utilization_cap,
+                        Vec::new(),
+                    );
+                    for clock in mhz.map(Hertz::from_mhz) {
+                        shared.push(pool.structure_at(clock).and_then(|s| {
+                            s.to_design(clock, cfg.tech, cfg.utilization_cap, eval_options(&cfg))
+                        }));
+                        scratch.push(synthesize_candidate(&spec, &cfg, &part, &fp, width, clock));
+                    }
+                    assert_eq!(pool.hits() + pool.misses(), 2);
+                    assert_eq!(pool.is_dirty(), !pool.structures().is_empty());
+                    refused += usize::from(pool.structures().len() > 1);
                 }
-                assert_eq!(pool.hits() + pool.misses(), 2);
-                assert_eq!(pool.is_dirty(), !pool.structures().is_empty());
             }
         }
+        assert!(
+            refused > 0,
+            "no group routed a second structure: the sweep never tests a refusal"
+        );
         assert_eq!(shared, scratch);
     }
 }

@@ -186,3 +186,81 @@ fn persisted_store_replays_across_processes() {
     assert_eq!(warm.front.canonical_bytes(), cold.front.canonical_bytes());
     cleanup(&path);
 }
+
+/// The store file and the final checkpoint that one exploration leaves
+/// on disk.
+fn explore_to_files(c: &DseConfig, grid: &[Candidate], name: &str) -> (Vec<u8>, Vec<u8>) {
+    let path = tmp(name);
+    cleanup(&path);
+    let store = Store::open(&path).expect("open");
+    let report = explore(c, grid, &store).expect("explore");
+    assert!(report.completed, "{name}");
+    drop(store);
+    let files = (
+        std::fs::read(&path).expect("store file"),
+        std::fs::read(format!("{}.ckpt", path.display())).expect("checkpoint file"),
+    );
+    cleanup(&path);
+    files
+}
+
+/// The streamed merge appends each shard's records in shard order, so
+/// neither the worker count nor the checkpoint interval may change a
+/// byte of the store file or of the final checkpoint.
+#[test]
+fn store_and_checkpoint_files_are_identical_across_threads_and_intervals() {
+    let grid = grid();
+    let reference = explore_to_files(&cfg(1), &grid, "files_ref");
+    for threads in [1, 2, 8] {
+        for checkpoint_every in [1, 3, 16] {
+            let c = DseConfig {
+                checkpoint_every,
+                ..cfg(threads)
+            };
+            let files = explore_to_files(&c, &grid, &format!("files_{threads}_{checkpoint_every}"));
+            assert!(
+                files.0 == reference.0,
+                "store file differs at {threads} workers, checkpoint every {checkpoint_every}"
+            );
+            assert!(
+                files.1 == reference.1,
+                "final checkpoint differs at {threads} workers, checkpoint every {checkpoint_every}"
+            );
+        }
+    }
+}
+
+/// A run stopped by `max_shards` between two checkpoint intervals (4
+/// shards, a checkpoint every 3) and then resumed leaves the store file
+/// and final checkpoint of an uninterrupted run.
+#[test]
+fn a_run_stopped_inside_a_checkpoint_interval_resumes_to_the_same_files() {
+    let grid = grid();
+    let uninterrupted = explore_to_files(&cfg(2), &grid, "stop_ref");
+    let path = tmp("stop_inside");
+    cleanup(&path);
+    {
+        let store = Store::open(&path).expect("open");
+        let stopped = explore(
+            &DseConfig {
+                max_shards: Some(4),
+                ..cfg(2)
+            },
+            &grid,
+            &store,
+        )
+        .expect("stopped run");
+        assert!(!stopped.completed);
+        assert_eq!(stopped.specs_explored, 4);
+    }
+    let store = Store::open(&path).expect("reopen");
+    let resumed = explore(&cfg(2), &grid, &store).expect("resumed run");
+    assert_eq!(resumed.resumed_from, 4, "the stop wrote its own checkpoint");
+    assert!(resumed.completed);
+    drop(store);
+    let store_bytes = std::fs::read(&path).expect("store file");
+    let ckpt_bytes = std::fs::read(format!("{}.ckpt", path.display())).expect("checkpoint");
+    cleanup(&path);
+    assert!(store_bytes == uninterrupted.0, "store file differs");
+    assert!(ckpt_bytes == uninterrupted.1, "final checkpoint differs");
+}
