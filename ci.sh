@@ -107,6 +107,15 @@ tier1() {
   cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test engine_parity
   echo "==> tier-1: control-plane golden digests (release)"
   cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test control_plane_golden
+  # Both engines share switch allocation, so parity cannot see a change
+  # to who wins an output: the data-plane golden digests pin it to
+  # recorded data, and the arbiter proptest checks the winner rule
+  # against a naive minimum-cyclic-distance scan at 8x the default
+  # case count.
+  echo "==> tier-1: data-plane golden digests and arbiter proptest (release)"
+  cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --test data_plane_golden
+  PROPTEST_CASES=512 cargo test "${CARGO_FLAGS[@]}" -q --release -p noc-sim --lib \
+    engine::tests::rr_winner_matches_a_naive_cyclic_scan
   # The floorplan annealer's parity proptests (incremental arena ==
   # fresh arena == from-scratch evaluation after every move and undo)
   # at 8x the default case count, in the release build users run.

@@ -25,16 +25,19 @@
 //!
 //! By default the phases run *event-driven*: per-cycle cost scales with
 //! traffic, not with fabric size. Wire deliveries sit in a calendar
-//! wheel keyed by arrival cycle; eject ports, switches, and NIs are
-//! visited only while they have work (activity lists with lazy
-//! pruning); Constant traffic sources fire off a due-cycle heap, while
-//! stochastic sources are still polled every cycle so every simulation
-//! outcome stays bit-identical to the straight-line *scan* engine,
-//! which sweeps all links/switches/NIs each cycle and remains available
-//! via [`Simulator::with_scan_engine`] as the executable parity
-//! reference. Activity lists are kept in (or sorted back into)
-//! ascending order so phases process the same elements in the same
-//! order as the scan sweep.
+//! wheel keyed by arrival cycle. Eject ports, switches and NIs are
+//! visited only while they have work: each phase walks a word bitset of
+//! candidates, so it visits them in ascending order by construction,
+//! the order of the straight-line *scan* engine, which sweeps all
+//! links/switches/NIs each cycle and remains available via
+//! [`Simulator::with_scan_engine`] as the executable parity reference.
+//! Switch allocation reads request masks: every input port's current
+//! request is one bit in the mask of the output it wants, updated
+//! whenever the port's front flit or route lock changes, so no phase
+//! scans input ports to find who wants what. Constant traffic sources
+//! fire off a due-cycle heap; stochastic sources draw from their private
+//! RNG streams every cycle, as the scan engine does, in one tight pass
+//! that compares each raw draw with an integer threshold.
 //!
 //! ## Locality by construction
 //!
@@ -90,7 +93,7 @@ use crate::qos::SlotTable;
 use crate::recovery::RecoveryNotice;
 use crate::stats::{FlowStats, SimStats};
 use crate::trace::{self, Trace, TraceKind};
-use crate::traffic::{Destination, InjectionProcess, TrafficSource};
+use crate::traffic::{bernoulli, Destination, InjectionProcess, TrafficSource};
 use noc_spec::fault::{corruption_draw, FaultPlan, FaultTarget, RecoveryConfig};
 use noc_spec::FlowId;
 use noc_topology::graph::{LinkId, NodeId, Topology};
@@ -269,14 +272,16 @@ impl RecvRings {
         (r.len > 0).then_some(r.front)
     }
 
-    /// Appends the pooled flit `h` to port `p`'s ring.
-    fn push(&mut self, pool: &FlitPool, p: usize, h: u32) {
+    /// Appends the pooled flit `h` to port `p`'s ring. Returns whether
+    /// the flit became the front (the ring was empty).
+    fn push(&mut self, pool: &FlitPool, p: usize, h: u32) -> bool {
         let r = &mut self.rings[p];
         assert!(
             r.len < self.depth,
             "receive buffer overflow past buffer_depth"
         );
-        if r.len == 0 {
+        let was_empty = r.len == 0;
+        if was_empty {
             r.front = Front::of(pool.get(h));
         }
         let mut at = r.head + r.len;
@@ -285,9 +290,12 @@ impl RecvRings {
         }
         r.len += 1;
         self.slots[p * self.depth as usize + at as usize] = h;
+        was_empty
     }
 
-    /// Removes port `p`'s front flit, returning its handle.
+    /// Removes port `p`'s front flit, returning its handle. The port's
+    /// request changes with its front: callers follow up with
+    /// [`Simulator::refresh`].
     fn pop(&mut self, pool: &FlitPool, p: usize) -> Option<u32> {
         let h = self.front(p)?;
         let r = &mut self.rings[p];
@@ -305,6 +313,209 @@ impl RecvRings {
 
     fn total(&self) -> usize {
         self.rings.iter().map(|r| r.len as usize).sum()
+    }
+}
+
+/// Sets bit `i` of a word bitset.
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i >> 6] |= 1 << (i & 63);
+}
+
+/// Clears bit `i` of a word bitset.
+fn clear_bit(words: &mut [u64], i: usize) {
+    words[i >> 6] &= !(1 << (i & 63));
+}
+
+/// The lowest set bit at or after `from` of a word bitset.
+fn next_bit(words: &[u64], from: usize) -> Option<usize> {
+    let mut w = from >> 6;
+    let mut word = *words.get(w)? & (u64::MAX << (from & 63));
+    while word == 0 {
+        w += 1;
+        word = *words.get(w)?;
+    }
+    Some((w << 6) | word.trailing_zeros() as usize)
+}
+
+/// The round-robin winner among the set bits of `req`, a switch's
+/// request mask for one output: the first bit at or after `pointer`,
+/// wrapping around, that `verdict` accepts (`Some(gt)`; `None` rejects
+/// it). With `gt_first`, the first accepted GT bit wins if there is one.
+/// Every set bit lies below the round-robin modulus, so this is the
+/// accepted bit at the least cyclic distance from the pointer.
+fn rr_winner(
+    req: &[u64],
+    pointer: usize,
+    gt_first: bool,
+    mut verdict: impl FnMut(usize) -> Option<bool>,
+) -> Option<usize> {
+    let n = req.len();
+    let (start, shift) = (pointer >> 6, pointer & 63);
+    let mut first = None;
+    // Words from the pointer's up, wrapping; the pointer's word twice,
+    // first its bits at or above the pointer, last those below it.
+    let mut w = start;
+    for k in 0..=n {
+        let mut word = req[w];
+        if k == 0 {
+            word &= u64::MAX << shift;
+        } else if k == n {
+            word &= !(u64::MAX << shift);
+        }
+        while word != 0 {
+            let b = (w << 6) | word.trailing_zeros() as usize;
+            word &= word - 1;
+            if let Some(gt) = verdict(b) {
+                if gt || !gt_first {
+                    return Some(b);
+                }
+                first = first.or(Some(b));
+            }
+        }
+        w = if w + 1 == n { 0 } else { w + 1 };
+    }
+    first
+}
+
+/// [`LinkIn::switch`] of a link that ends at an NI, and the sending
+/// switch recorded for a link that starts at one.
+const NO_SWITCH: u32 = u32::MAX;
+
+/// The state of a link's receiving end that a landing flit updates,
+/// kept in one record so the push path touches one line for it.
+#[derive(Debug, Clone, Copy)]
+struct LinkIn {
+    /// Flits buffered at the link's receiving end (all VCs). Lets the
+    /// hot phases skip empty links without touching their per-VC rings.
+    buffered: u32,
+    /// Eject-port index of the link (`u32::MAX` for links that do not
+    /// terminate at an NI).
+    eject_port: u32,
+    /// Position in `adj.switches` of the receiving switch (`NO_SWITCH`
+    /// at an NI).
+    switch: u32,
+    /// [`Requests`] bit of the link's VC 0 port at the receiving
+    /// switch: the link's index among the switch's inputs × `vcs`.
+    in_bit: u32,
+}
+
+/// Switch-allocation requests, kept current as ports' fronts and route
+/// locks change (see [`Simulator::refresh`]), so the switch phase reads
+/// who wants what instead of scanning input ports.
+///
+/// A port requests the output its front flit wants when that output
+/// belongs to the port's own switch. The port is then bit
+/// `in_bit + vc` of the output's request mask, `words` words sized to
+/// the largest switch. Each switch also keeps the mask of its requested
+/// outputs, and `active` the set of switches with one. A port whose
+/// front wants any other link (a malformed route, or a route through an
+/// NI) arbitrates for nothing, and is kept in `stray` for the
+/// fault-drop phase.
+#[derive(Debug, Clone)]
+struct Requests {
+    /// Words per request mask: ceil(largest switch's input ports / 64).
+    words: usize,
+    /// Per output link, by `LinkId`, `1 + words` words: the link's
+    /// sending switch position (high half; `NO_SWITCH` for an NI) and
+    /// its index among that switch's outputs (low half), then its
+    /// request mask. Side by side, so entering a request reads one line.
+    rows: Vec<u64>,
+    /// Words per output mask: ceil(largest switch's outputs / 64).
+    out_words: usize,
+    /// The output masks, `out_words` words per switch position.
+    outs: Vec<u64>,
+    /// Bitset of the switch positions with a request.
+    active: Vec<u64>,
+    /// Bitset of the input ports whose request is stray.
+    stray: Vec<u64>,
+    /// Per mask bit `b`, the input index `b / vcs` it stands for, so
+    /// arbitration decodes a winner without dividing.
+    input_of_bit: Vec<u32>,
+}
+
+impl Requests {
+    /// An empty index; `switch_pos` maps each node to its position in
+    /// `adj.switches` (`NO_SWITCH` for NIs).
+    fn new(adj: &AdjacencyCache, switch_pos: &[u32], links: usize, vcs: usize) -> Requests {
+        let widest = |range: fn(&AdjacencyCache, NodeId) -> (usize, usize)| {
+            adj.switches
+                .iter()
+                .map(|&sw| {
+                    let (start, end) = range(adj, sw);
+                    end - start
+                })
+                .max()
+                .unwrap_or(0)
+        };
+        let words = (widest(AdjacencyCache::incoming) * vcs).div_ceil(64).max(1);
+        let out_words = widest(AdjacencyCache::outgoing).div_ceil(64).max(1);
+        let mut rows = vec![0; links * (1 + words)];
+        for (n, &pos) in switch_pos.iter().enumerate() {
+            let (os, oe) = adj.outgoing(NodeId(n));
+            for (k, l) in adj.out_flat[os..oe].iter().enumerate() {
+                rows[l.0 * (1 + words)] = u64::from(pos) << 32 | k as u64;
+            }
+        }
+        Requests {
+            words,
+            rows,
+            out_words,
+            outs: vec![0; adj.switches.len() * out_words],
+            active: vec![0; adj.switches.len().div_ceil(64)],
+            stray: vec![0; (links * vcs).div_ceil(64)],
+            input_of_bit: (0..words * 64).map(|b| (b / vcs) as u32).collect(),
+        }
+    }
+
+    /// Output link `out`'s sending switch position and its index among
+    /// that switch's outputs.
+    fn sender(&self, out: usize) -> (u32, usize) {
+        let meta = self.rows[out * (1 + self.words)];
+        ((meta >> 32) as u32, meta as u32 as usize)
+    }
+
+    /// The request mask of output link `out`.
+    fn mask(&self, out: usize) -> &[u64] {
+        let at = out * (1 + self.words) + 1;
+        &self.rows[at..at + self.words]
+    }
+
+    /// The output mask of the switch at position `pos`.
+    fn outs(&self, pos: usize) -> &[u64] {
+        &self.outs[pos * self.out_words..(pos + 1) * self.out_words]
+    }
+
+    /// Enters the request of port `p`, VC `vc` of a link received as
+    /// `at`, for output link `out`.
+    fn add(&mut self, at: LinkIn, vc: usize, p: usize, out: usize) {
+        let (sw, out_bit) = self.sender(out);
+        if sw == NO_SWITCH || sw != at.switch {
+            set_bit(&mut self.stray, p);
+            return;
+        }
+        let sw = sw as usize;
+        let mask = out * (1 + self.words) + 1;
+        set_bit(&mut self.rows[mask..], at.in_bit as usize + vc);
+        set_bit(&mut self.outs[sw * self.out_words..], out_bit);
+        set_bit(&mut self.active, sw);
+    }
+
+    /// Withdraws what [`add`](Self::add) entered.
+    fn remove(&mut self, at: LinkIn, vc: usize, p: usize, out: usize) {
+        let (sw, out_bit) = self.sender(out);
+        if sw == NO_SWITCH || sw != at.switch {
+            clear_bit(&mut self.stray, p);
+            return;
+        }
+        let sw = sw as usize;
+        let mask = out * (1 + self.words) + 1;
+        clear_bit(&mut self.rows[mask..], at.in_bit as usize + vc);
+        if self.mask(out).iter().all(|&w| w == 0) {
+            clear_bit(&mut self.outs[sw * self.out_words..], out_bit);
+            if self.outs(sw).iter().all(|&w| w == 0) {
+                clear_bit(&mut self.active, sw);
+            }
+        }
     }
 }
 
@@ -388,18 +599,31 @@ struct SourceSlot {
     /// no matter which engine — or which mesh shard — generated the
     /// packet.
     next_packet: u64,
-    /// This source's private RNG stream, seeded
-    /// [`noc_par::point_seed`]`(base_seed, index)`. Sources never share
-    /// a stream: a source's draws depend only on its own firing
-    /// history, which is what lets mesh shards generate packets for
-    /// disjoint source subsets without consuming each other's numbers.
-    rng: StdRng,
     /// Whether this source's destination was swapped to fault-avoiding
     /// routes (packets generated afterwards count as rerouted).
     rerouted: bool,
     /// A routing-table hot-swap is pending on this source: no new
     /// packet may *start* injecting (quiesce) until the swap commits.
     swap_pending: bool,
+}
+
+/// What a per-cycle poll of a source reads, kept apart from the bulky
+/// [`SourceSlot`] in a dense array.
+#[derive(Debug, Clone)]
+struct SourceDraws {
+    /// The source's private RNG stream, seeded
+    /// [`noc_par::point_seed`]`(base_seed, index)`. Sources never share
+    /// a stream: a source's draws depend only on its own firing
+    /// history, which is what lets mesh shards generate packets for
+    /// disjoint source subsets without consuming each other's numbers.
+    rng: StdRng,
+    /// The integer form of the process's Bernoulli probabilities
+    /// ([`InjectionProcess::thresholds`]), so a poll compares integers
+    /// instead of converting each draw to a float.
+    thresholds: [u64; 2],
+    /// Whether the process is Poisson: one draw against
+    /// `thresholds[0]` is then the whole poll.
+    poisson: bool,
 }
 
 /// Outgoing boundary traffic of one partitioned-engine shard,
@@ -504,13 +728,10 @@ pub struct Simulator {
     /// Owning input port of each allocated output port (`NO_PORT` when
     /// free), indexed by `output link * vcs + vc`.
     owner: Vec<u32>,
-    /// Flits buffered at each link's receiving end (all VCs), indexed
-    /// by `LinkId`. Lets the hot phases skip empty links without
-    /// touching their per-VC FIFOs.
-    buf_count: Vec<u32>,
-    /// Flits buffered across all of a node's input links, indexed by
-    /// `NodeId`. Lets `traverse` skip whole idle switches.
-    node_buffered: Vec<u32>,
+    /// Which input ports request which outputs, in both engines.
+    reqs: Requests,
+    /// The receiving end of each link, indexed by `LinkId`.
+    link_in: Vec<LinkIn>,
     /// Receiving node of each link, indexed by `LinkId` (dense copy of
     /// the topology's link records for the occupancy bookkeeping).
     link_dst: Vec<NodeId>,
@@ -561,8 +782,9 @@ pub struct Simulator {
     dropped_flits_total: u64,
     /// Whether each link is currently up, indexed by `LinkId`.
     link_up: Vec<bool>,
-    /// Number of links currently down (cheap guard for the drop phase).
-    links_down: usize,
+    /// The links currently down, unordered (the drop phase runs while
+    /// this is nonempty).
+    down_links: Vec<u32>,
     /// Plan event index that most recently downed each link, indexed by
     /// `LinkId` (`None` while up).
     link_down_event: Vec<Option<usize>>,
@@ -573,6 +795,10 @@ pub struct Simulator {
     drop_lock: Vec<Option<usize>>,
     /// Number of active drop locks (cheap guard for the drop phase).
     drop_locks: usize,
+    /// Bitset of the input ports holding a drop lock.
+    drop_held: Vec<u64>,
+    /// Scratch port bitset of the event drop phase's candidates.
+    drop_scratch: Vec<u64>,
     /// The routing epoch stamped on newly queued packets: the control
     /// plane's current epoch, set on every shard when it bumps.
     epoch: u64,
@@ -594,51 +820,28 @@ pub struct Simulator {
     wheel_mask: u64,
     /// Scratch buffer reused when draining a wheel bucket.
     wheel_scratch: Vec<u32>,
-    /// Eject-port index of each link (`u32::MAX` for links that do not
-    /// terminate at an NI), indexed by `LinkId`.
-    eject_port_of: Vec<u32>,
-    /// Eject ports with buffered flits, plus the membership flags that
-    /// keep the list duplicate-free (lazily pruned, sorted per cycle).
-    /// The `dirty` flag tracks whether appends since the last sweep
-    /// broke ascending order; a clean list (the common case — retention
-    /// re-pushes during the sorted sweep stay ascending) skips the
-    /// per-cycle sort entirely.
-    active_eject: Vec<u32>,
-    eject_listed: Vec<bool>,
-    eject_scratch: Vec<u32>,
-    eject_dirty: bool,
-    /// Position of each switch in `adj.switches` (`u32::MAX` for
-    /// non-switch nodes), indexed by `NodeId`.
-    switch_pos: Vec<u32>,
-    /// Position of each link in `adj.out_flat` (every link appears in
-    /// exactly one node's outgoing range), indexed by `LinkId`. Lets
-    /// arbitration map a flit's desired output to a request-mask bit
-    /// in O(1).
-    out_pos_of: Vec<u32>,
-    /// Switch positions with buffered input flits (same `dirty`
-    /// discipline as `active_eject`).
-    active_switches: Vec<u32>,
-    switch_listed: Vec<bool>,
-    switch_scratch: Vec<u32>,
-    switch_dirty: bool,
+    /// Bitset of the eject ports that may hold buffered flits: set when
+    /// a flit lands, cleared by the sweep that finds the port empty.
+    eject_set: Vec<u64>,
     /// Flits waiting in source queues per NI, indexed by `NodeId`.
     queued_at: Vec<u32>,
-    /// NIs with queued flits (node indices; same `dirty` discipline as
-    /// `active_eject`).
-    active_inject: Vec<u32>,
-    inject_listed: Vec<bool>,
-    inject_scratch: Vec<u32>,
-    inject_dirty: bool,
+    /// Bitset of the NIs (by `NodeId`) that may hold queued flits, with
+    /// the same set/clear discipline as `eject_set`.
+    inject_set: Vec<u64>,
     /// Sources whose injection process consumes randomness every cycle
     /// (Poisson, Bursty): they must be polled each cycle even in event
     /// mode, or their private RNG streams — and bit-identity with the
     /// scan engine — would diverge.
     stochastic_sources: Vec<u32>,
+    /// Per source, what polling it draws from.
+    draws: Vec<SourceDraws>,
     /// Pending fire cycles of Constant sources: `(next_fire, source)`
     /// min-heap. Constant processes consume no randomness, so skipping
     /// their idle cycles is exact.
     const_due: BinaryHeap<Reverse<(u64, u32)>>,
     const_scratch: Vec<u32>,
+    /// Stochastic sources that fired this cycle (event engine).
+    fired_scratch: Vec<u32>,
     /// Flits inside the fabric (buffers + wires), maintained so `drain`
     /// loops cost O(1) per idle cycle instead of O(links). Signed: a
     /// partitioned shard counts injections on the sending side and
@@ -674,18 +877,6 @@ pub struct Simulator {
     tainted: BTreeSet<PacketId>,
 }
 
-/// Appends `v` to an activity list, marking the list dirty if the append
-/// breaks ascending order. Lists stay sorted through the common
-/// steady-state pattern (retention re-appends plus in-order wakes), so
-/// the per-cycle `sort_unstable` in each sweep is skipped unless an
-/// out-of-order wake actually happened.
-fn push_active(list: &mut Vec<u32>, dirty: &mut bool, v: u32) {
-    if !*dirty && list.last().is_some_and(|&last| last > v) {
-        *dirty = true;
-    }
-    list.push(v);
-}
-
 impl Simulator {
     /// Creates a simulator over a topology. Link pipeline stages are
     /// taken from the topology's links.
@@ -711,30 +902,41 @@ impl Simulator {
             .unwrap_or(1)
             + cfg.sync_penalty;
         let wheel_size = (max_latency + 2).next_power_of_two() as usize;
-        let mut eject_port_of = vec![u32::MAX; nlinks];
-        for (port, &(_, l)) in adj.eject_ports.iter().enumerate() {
-            eject_port_of[l.0] = port as u32;
-        }
-        let mut switch_pos = vec![u32::MAX; nodes];
+        let mut switch_pos = vec![NO_SWITCH; nodes];
         for (pos, &sw) in adj.switches.iter().enumerate() {
             switch_pos[sw.0] = pos as u32;
         }
-        let mut out_pos_of = vec![u32::MAX; nlinks];
-        for (oi, &l) in adj.out_flat.iter().enumerate() {
-            out_pos_of[l.0] = oi as u32;
+        let mut link_in = vec![
+            LinkIn {
+                buffered: 0,
+                eject_port: u32::MAX,
+                switch: NO_SWITCH,
+                in_bit: 0,
+            };
+            nlinks
+        ];
+        for (n, &pos) in switch_pos.iter().enumerate() {
+            let (is, ie) = adj.incoming(NodeId(n));
+            for (k, l) in adj.in_flat[is..ie].iter().enumerate() {
+                link_in[l.0].switch = pos;
+                link_in[l.0].in_bit = u32::try_from(k * cfg.vcs).expect("switch radix fits u32");
+            }
         }
+        for (port, &(_, l)) in adj.eject_ports.iter().enumerate() {
+            link_in[l.0].eject_port = port as u32;
+        }
+        let reqs = Requests::new(&adj, &switch_pos, nlinks, cfg.vcs);
         let eject_count = adj.eject_ports.len();
-        let switch_count = adj.switches.len();
         let split = Split::for_workers(&topo, cfg.partition_workers);
-        Simulator {
+        let sim = Simulator {
             credits: vec![u32::try_from(cfg.buffer_depth).expect("buffer depth fits u32"); ports],
             bufs: RecvRings::new(ports, cfg.buffer_depth),
             pool: FlitPool::default(),
             rr: vec![0; links.len()],
             route_lock: vec![NO_OUTPUT; ports],
             owner: vec![NO_PORT; ports],
-            buf_count: vec![0; links.len()],
-            node_buffered: vec![0; nodes],
+            reqs,
+            link_in,
             link_dst: topo.links().iter().map(|l| l.dst).collect(),
             credit_returns: Vec::new(),
             sources: Vec::new(),
@@ -760,35 +962,26 @@ impl Simulator {
             ejected_flits_total: 0,
             dropped_flits_total: 0,
             link_up: vec![true; nlinks],
-            links_down: 0,
+            down_links: Vec::new(),
             link_down_event: vec![None; nlinks],
             drop_lock: vec![None; ports],
             drop_locks: 0,
+            drop_held: vec![0; ports.div_ceil(64)],
+            drop_scratch: vec![0; ports.div_ceil(64)],
             epoch: 0,
             ctl: Control::new(nlinks),
             event_mode: true,
             wheel: vec![Vec::new(); wheel_size],
             wheel_mask: wheel_size as u64 - 1,
             wheel_scratch: Vec::new(),
-            eject_port_of,
-            active_eject: Vec::new(),
-            eject_listed: vec![false; eject_count],
-            eject_scratch: Vec::new(),
-            eject_dirty: false,
-            switch_pos,
-            out_pos_of,
-            active_switches: Vec::new(),
-            switch_listed: vec![false; switch_count],
-            switch_scratch: Vec::new(),
-            switch_dirty: false,
+            eject_set: vec![0; eject_count.div_ceil(64)],
             queued_at: vec![0; nodes],
-            active_inject: Vec::new(),
-            inject_listed: vec![false; nodes],
-            inject_scratch: Vec::new(),
-            inject_dirty: false,
+            inject_set: vec![0; nodes.div_ceil(64)],
             stochastic_sources: Vec::new(),
+            draws: Vec::new(),
             const_due: BinaryHeap::new(),
             const_scratch: Vec::new(),
+            fired_scratch: Vec::new(),
             in_network_count: 0,
             part: None,
             split,
@@ -797,7 +990,10 @@ impl Simulator {
             corrupt_enabled: false,
             corrupt_plan_seed: 0,
             tainted: BTreeSet::new(),
-        }
+        };
+        #[cfg(debug_assertions)]
+        sim.check_layout();
+        sim
     }
 
     /// Switches this simulator to the straight-line per-cycle *scan*
@@ -825,8 +1021,8 @@ impl Simulator {
     pub fn with_seed(mut self, seed: u64) -> Simulator {
         self.assert_configurable();
         self.base_seed = seed;
-        for (i, slot) in self.sources.iter_mut().enumerate() {
-            slot.rng = StdRng::seed_from_u64(noc_par::point_seed(seed, i as u64));
+        for (i, d) in self.draws.iter_mut().enumerate() {
+            d.rng = StdRng::seed_from_u64(noc_par::point_seed(seed, i as u64));
         }
         self
     }
@@ -936,11 +1132,15 @@ impl Simulator {
             }
             _ => self.stochastic_sources.push(idx as u32),
         }
+        self.draws.push(SourceDraws {
+            rng: StdRng::seed_from_u64(noc_par::point_seed(self.base_seed, idx as u64)),
+            thresholds: source.process.thresholds(),
+            poisson: matches!(source.process, InjectionProcess::Poisson { .. }),
+        });
         self.sources.push(SourceSlot {
             source,
             queue: VecDeque::new(),
             next_packet: (idx as u64) << PACKET_SEQ_BITS,
-            rng: StdRng::seed_from_u64(noc_par::point_seed(self.base_seed, idx as u64)),
             rerouted: false,
             swap_pending: false,
         });
@@ -1267,6 +1467,8 @@ impl Simulator {
                 "maintained queue occupancy must match a full recount"
             );
         }
+        #[cfg(debug_assertions)]
+        self.check_activity();
         self.stats.measured_cycles = self.cycle.saturating_sub(self.cfg.warmup);
         for (&flow, acc) in self.flow_ids.iter().zip(&self.flow_acc) {
             self.stats.flows.entry(flow).or_default().clone_from(acc);
@@ -1323,8 +1525,8 @@ impl Simulator {
         if self.event_mode {
             self.deliver_due();
             self.eject_active();
-            if self.links_down > 0 || self.drop_locks > 0 {
-                self.drop_blocked_flits();
+            if !self.down_links.is_empty() || self.drop_locks > 0 {
+                self.drop_blocked_active();
             }
             self.traverse_active();
             if self.generation_enabled {
@@ -1334,7 +1536,7 @@ impl Simulator {
         } else {
             self.deliver();
             self.eject();
-            if self.links_down > 0 || self.drop_locks > 0 {
+            if !self.down_links.is_empty() || self.drop_locks > 0 {
                 self.drop_blocked_flits();
             }
             self.traverse();
@@ -1344,6 +1546,8 @@ impl Simulator {
             self.inject();
         }
         self.cycle += 1;
+        #[cfg(debug_assertions)]
+        self.check_activity();
     }
 
     /// Runs the control phases of the cycle about to execute over the
@@ -1378,24 +1582,181 @@ impl Simulator {
             .note_delivered(self.cycle, &mut self.stats.recovery, packet, flow, epoch);
     }
 
-    /// Appends `flit` to input port `p`'s receive buffer.
-    fn buf_push(&mut self, p: usize, flit: Flit) {
-        let h = self.pool.insert(flit);
-        self.bufs.push(&self.pool, p, h);
+    /// Lands the pooled flit `h` in input port `(li, vc)`'s receive
+    /// buffer: accounts it and, in event mode, wakes the link's eject
+    /// port if it terminates at an NI; a switch wakes through the
+    /// request a new front enters. Every push into `bufs` goes through
+    /// here.
+    fn land(&mut self, li: usize, vc: usize, h: u32) {
+        let p = li * self.cfg.vcs + vc;
+        let became_front = self.bufs.push(&self.pool, p, h);
+        let at = &mut self.link_in[li];
+        at.buffered += 1;
+        if self.event_mode && at.eject_port != u32::MAX {
+            set_bit(&mut self.eject_set, at.eject_port as usize);
+        }
+        if became_front {
+            self.refresh(li, vc, NO_OUTPUT);
+        }
     }
 
-    /// Removes and returns the front flit of input port `p`.
+    /// Removes and returns the front flit of input port `p`. The caller
+    /// notes the port's request before the pop and refreshes it once it
+    /// has also updated the port's locks.
     fn buf_pop(&mut self, p: usize) -> Option<Flit> {
         let h = self.bufs.pop(&self.pool, p)?;
         Some(self.pool.take(h))
+    }
+
+    /// The output input port `p` requests (`NO_OUTPUT` for none): what
+    /// [`Self::desired_output`] says of its front flit, without the
+    /// `Option`s.
+    fn request_of(&self, p: usize) -> u32 {
+        let ring = &self.bufs.rings[p];
+        if ring.len == 0 {
+            NO_OUTPUT
+        } else if ring.front.head {
+            ring.front.hop
+        } else {
+            self.route_lock[p]
+        }
+    }
+
+    /// Moves input port `(li, vc)`'s request in the [`Requests`] index
+    /// from `old`, what [`Self::request_of`] said before its front flit
+    /// or route lock changed, to what it says now. Called wherever
+    /// either changes: a push into an empty ring, every pop, and every
+    /// route-lock set or clear.
+    fn refresh(&mut self, li: usize, vc: usize, old: u32) {
+        let p = li * self.cfg.vcs + vc;
+        let want = self.request_of(p);
+        if want == old {
+            return;
+        }
+        let at = self.link_in[li];
+        if old != NO_OUTPUT {
+            self.reqs.remove(at, vc, p, old as usize);
+        }
+        if want != NO_OUTPUT {
+            self.reqs.add(at, vc, p, want as usize);
+        }
+    }
+
+    /// Panics unless the placement of requests, [`LinkIn::switch`],
+    /// [`LinkIn::in_bit`] and the masks' sender words, matches a fresh
+    /// walk of the adjacency lists. Debug builds run it at construction.
+    #[cfg(any(test, debug_assertions))]
+    fn check_layout(&self) {
+        let stride = 1 + self.reqs.words;
+        for (n, node) in self.topo.nodes().iter().enumerate() {
+            let pos = self.adj.switches.iter().position(|&sw| sw.0 == n);
+            assert_eq!(pos.is_some(), node.is_switch(), "node {n}: switch");
+            let pos = pos.map_or(NO_SWITCH, |pos| pos as u32);
+            let (is, ie) = self.adj.incoming(NodeId(n));
+            for (k, l) in self.adj.in_flat[is..ie].iter().enumerate() {
+                let at = self.link_in[l.0];
+                assert_eq!(at.switch, pos, "link {}: receiver", l.0);
+                if pos != NO_SWITCH {
+                    assert_eq!(at.in_bit as usize, k * self.cfg.vcs, "link {}: bit", l.0);
+                }
+            }
+            let (os, oe) = self.adj.outgoing(NodeId(n));
+            for (k, l) in self.adj.out_flat[os..oe].iter().enumerate() {
+                assert_eq!(
+                    self.reqs.rows[l.0 * stride],
+                    u64::from(pos) << 32 | k as u64,
+                    "link {}: sender",
+                    l.0
+                );
+            }
+        }
+    }
+
+    /// Panics unless the [`Requests`] index, the drop-lock and down-link
+    /// sets and the event sweeps' bitsets agree with the state they
+    /// summarize, recomputed from scratch: every port's request from
+    /// its front flit and route lock, placed as
+    /// [`check_layout`](Self::check_layout) vouches. Debug builds run it
+    /// after every step.
+    #[cfg(any(test, debug_assertions))]
+    fn check_activity(&self) {
+        let vcs = self.cfg.vcs;
+        let stride = 1 + self.reqs.words;
+        let mut rows = self.reqs.rows.clone();
+        for row in rows.chunks_mut(stride) {
+            row[1..].fill(0);
+        }
+        let mut outs = vec![0; self.reqs.outs.len()];
+        let mut active = vec![0; self.reqs.active.len()];
+        let mut stray = vec![0; self.reqs.stray.len()];
+        for p in 0..self.bufs.rings.len() {
+            let want = self
+                .bufs
+                .front_info(p)
+                .and_then(|front| self.desired_output(p, front));
+            let Some(want) = want else {
+                continue;
+            };
+            let at = self.link_in[p / vcs];
+            let (sw, out_bit) = self.reqs.sender(want.0);
+            if sw == NO_SWITCH || sw != at.switch {
+                set_bit(&mut stray, p);
+                continue;
+            }
+            set_bit(
+                &mut rows[want.0 * stride + 1..],
+                at.in_bit as usize + p % vcs,
+            );
+            set_bit(&mut outs[sw as usize * self.reqs.out_words..], out_bit);
+            set_bit(&mut active, sw as usize);
+        }
+        assert_eq!(self.reqs.rows, rows, "request masks");
+        assert_eq!(self.reqs.outs, outs, "requested outputs");
+        assert_eq!(self.reqs.active, active, "switches with requests");
+        assert_eq!(self.reqs.stray, stray, "stray requests");
+        let bit = |set: &[u64], i: usize| set[i >> 6] >> (i & 63) & 1 == 1;
+        for (p, lock) in self.drop_lock.iter().enumerate() {
+            assert_eq!(
+                bit(&self.drop_held, p),
+                lock.is_some(),
+                "port {p}: drop lock"
+            );
+        }
+        let mut listed = vec![false; self.links.len()];
+        for &l in &self.down_links {
+            assert!(!self.link_up[l as usize], "link {l} listed down while up");
+            assert!(
+                !std::mem::replace(&mut listed[l as usize], true),
+                "link {l} listed twice"
+            );
+        }
+        assert_eq!(
+            self.down_links.len(),
+            self.link_up.iter().filter(|&&up| !up).count(),
+            "down links"
+        );
+        assert!(self.drop_scratch.iter().all(|&w| w == 0), "drop scratch");
+        if self.event_mode {
+            for (port, &(_, l)) in self.adj.eject_ports.iter().enumerate() {
+                assert!(
+                    self.link_in[l.0].buffered == 0 || bit(&self.eject_set, port),
+                    "eject port {port} holds flits outside the eject set"
+                );
+            }
+            for (n, &queued) in self.queued_at.iter().enumerate() {
+                assert!(
+                    queued == 0 || bit(&self.inject_set, n),
+                    "node {n} queues flits outside the inject set"
+                );
+            }
+        }
     }
 
     /// Removes the front flit of `(link, vc)`'s input buffer, updating
     /// occupancy counters and returning the credit upstream.
     fn pop_buffered(&mut self, li: usize, vc: usize) -> Flit {
         let flit = self.buf_pop(li * self.cfg.vcs + vc).expect("front exists");
-        self.buf_count[li] -= 1;
-        self.node_buffered[self.link_dst[li].0] -= 1;
+        self.link_in[li].buffered -= 1;
         self.return_credit(li, vc);
         flit
     }
@@ -1442,85 +1803,115 @@ impl Simulator {
     fn note_queued(&mut self, ni: NodeId, n: usize) {
         self.queued_count += n as u64;
         self.queued_at[ni.0] += n as u32;
-        if self.event_mode && !self.inject_listed[ni.0] {
-            self.inject_listed[ni.0] = true;
-            push_active(&mut self.active_inject, &mut self.inject_dirty, ni.0 as u32);
-        }
-    }
-
-    /// Accounts one flit landing in link `li`'s receive buffer and, in
-    /// event mode, wakes the consumers that can now make progress: the
-    /// link's eject port (if it terminates at an NI) and the receiving
-    /// switch (if it doesn't). Every site that pushes into `bufs` goes
-    /// through here.
-    fn note_buffered(&mut self, li: usize) {
-        self.buf_count[li] += 1;
-        let dst = self.link_dst[li];
-        self.node_buffered[dst.0] += 1;
         if self.event_mode {
-            let port = self.eject_port_of[li];
-            if port != u32::MAX && !self.eject_listed[port as usize] {
-                self.eject_listed[port as usize] = true;
-                push_active(&mut self.active_eject, &mut self.eject_dirty, port);
-            }
-            let pos = self.switch_pos[dst.0];
-            if pos != u32::MAX && !self.switch_listed[pos as usize] {
-                self.switch_listed[pos as usize] = true;
-                push_active(&mut self.active_switches, &mut self.switch_dirty, pos);
-            }
+            set_bit(&mut self.inject_set, ni.0);
         }
     }
 
-    /// Fault-drop phase: destroys flits whose next hop is a dead link
-    /// (and the followers of already-beheaded streams), unwinding the
-    /// wormhole state exactly as a traversal would.
+    /// Fault-drop phase (scan): visits every input port with buffered
+    /// flits.
     fn drop_blocked_flits(&mut self) {
-        let vcs = self.cfg.vcs;
         for li in 0..self.links.len() {
-            if self.buf_count[li] == 0 {
+            if self.link_in[li].buffered == 0 {
                 continue;
             }
-            for vc in 0..vcs {
-                while let Some(front) = self.bufs.front_info(li * vcs + vc) {
-                    // Followers of a beheaded stream die unconditionally
-                    // (even if the link meanwhile repaired: their head
-                    // is gone, the fragment can never complete).
-                    if let Some(event) = self.drop_lock[li * vcs + vc] {
-                        if front.head {
-                            break; // unreachable: the tail clears first
-                        }
-                        let flit = self.pop_buffered(li, vc);
-                        if flit.is_tail {
-                            self.drop_lock[li * vcs + vc] = None;
-                            self.drop_locks -= 1;
-                        }
-                        self.account_drop(LinkId(li), &flit, Some(event));
-                        continue;
-                    }
-                    let Some(desired) = self.desired_output(li * vcs + vc, front) else {
-                        break;
-                    };
-                    if self.link_up[desired.0] {
-                        break;
-                    }
-                    let event = self.link_down_event[desired.0];
-                    let flit = self.pop_buffered(li, vc);
-                    if flit.is_head && !flit.is_tail {
-                        // The head dies before allocating the output:
-                        // its followers must chase the drop, not wait
-                        // for an allocation that will never come.
-                        self.drop_lock[li * vcs + vc] = event;
-                        self.drop_locks += 1;
-                    } else if flit.is_tail && !flit.is_head {
-                        // The stream's head had claimed the dead output
-                        // before it died; release the claim like a
-                        // normal tail traversal would.
-                        self.owner[desired.0 * vcs + vc] = NO_PORT;
-                        self.route_lock[li * vcs + vc] = NO_OUTPUT;
-                    }
-                    self.account_drop(desired, &flit, event);
+            for vc in 0..self.cfg.vcs {
+                self.drop_port(li, vc);
+            }
+        }
+    }
+
+    /// Fault-drop phase (event): visits, in the scan's ascending port
+    /// order, only the ports that can have something to drop — those
+    /// holding a drop lock, and those whose request names a down link:
+    /// the bits of the down link's request mask, plus the stray
+    /// requests, which name no output of their own switch (the scan
+    /// drops such a head too once its link is down). Dropping at one
+    /// port never makes another port droppable, so visiting this set
+    /// in order is the scan exactly.
+    fn drop_blocked_active(&mut self) {
+        let vcs = self.cfg.vcs;
+        let mut cand = std::mem::take(&mut self.drop_scratch);
+        for ((c, &held), &stray) in cand.iter_mut().zip(&self.drop_held).zip(&self.reqs.stray) {
+            *c = held | stray;
+        }
+        for &l in &self.down_links {
+            let (sw, _) = self.reqs.sender(l as usize);
+            if sw == NO_SWITCH {
+                continue; // an NI's link: only stray requests name it
+            }
+            let (in_start, _) = self.adj.incoming(self.adj.switches[sw as usize]);
+            for (w, &word) in self.reqs.mask(l as usize).iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let b = (w << 6) | word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let in_l = self.adj.in_flat[in_start + b / vcs];
+                    set_bit(&mut cand, in_l.0 * vcs + b % vcs);
                 }
             }
+        }
+        for (w, slot) in cand.iter_mut().enumerate() {
+            let mut word = std::mem::take(slot);
+            while word != 0 {
+                let p = (w << 6) | word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.drop_port(p / vcs, p % vcs);
+            }
+        }
+        self.drop_scratch = cand;
+    }
+
+    /// Destroys the flits at the front of input port `(li, vc)` whose
+    /// next hop is a dead link (and the followers of an already
+    /// beheaded stream), unwinding the wormhole state exactly as a
+    /// traversal would.
+    fn drop_port(&mut self, li: usize, vc: usize) {
+        let vcs = self.cfg.vcs;
+        let p = li * vcs + vc;
+        while let Some(front) = self.bufs.front_info(p) {
+            // Followers of a beheaded stream die unconditionally (even
+            // if the link meanwhile repaired: their head is gone, the
+            // fragment can never complete).
+            if let Some(event) = self.drop_lock[p] {
+                if front.head {
+                    break; // unreachable: the tail clears first
+                }
+                let old = self.request_of(p);
+                let flit = self.pop_buffered(li, vc);
+                if flit.is_tail {
+                    self.drop_lock[p] = None;
+                    self.drop_locks -= 1;
+                    clear_bit(&mut self.drop_held, p);
+                }
+                self.refresh(li, vc, old);
+                self.account_drop(LinkId(li), &flit, Some(event));
+                continue;
+            }
+            let Some(desired) = self.desired_output(p, front) else {
+                break;
+            };
+            if self.link_up[desired.0] {
+                break;
+            }
+            let event = self.link_down_event[desired.0];
+            let flit = self.pop_buffered(li, vc);
+            if flit.is_head && !flit.is_tail {
+                // The head dies before allocating the output: its
+                // followers must chase the drop, not wait for an
+                // allocation that will never come.
+                self.drop_lock[p] = event;
+                self.drop_locks += 1;
+                set_bit(&mut self.drop_held, p);
+            } else if flit.is_tail && !flit.is_head {
+                // The stream's head had claimed the dead output before
+                // it died; release the claim like a normal tail
+                // traversal would.
+                self.owner[desired.0 * vcs + vc] = NO_PORT;
+                self.route_lock[p] = NO_OUTPUT;
+            }
+            self.refresh(li, vc, desired.0 as u32);
+            self.account_drop(desired, &flit, event);
         }
     }
 
@@ -1648,9 +2039,8 @@ impl Simulator {
                 }
                 h = self.pool.insert(flit);
             }
-            let p = li * self.cfg.vcs + self.pool.get(h).vc;
-            self.bufs.push(&self.pool, p, h);
-            self.note_buffered(li);
+            let vc = self.pool.get(h).vc;
+            self.land(li, vc, h);
         }
     }
 
@@ -1660,60 +2050,50 @@ impl Simulator {
         let cycle = self.cycle;
         for port in 0..self.adj.eject_ports.len() {
             let (ni, l) = self.adj.eject_ports[port];
-            if self.buf_count[l.0] == 0 {
+            if self.link_in[l.0].buffered == 0 {
                 continue;
             }
             if !self.domains.active(ni, cycle) {
                 continue;
             }
-            self.eject_from_port(ni, l);
+            self.eject_from_port(l);
         }
     }
 
-    /// Phase 2 (event): only eject ports with buffered flits are
-    /// visited. The list is sorted so ports are processed in the same
-    /// ascending order the scan engine sweeps them; a port is retained
-    /// while flits remain (e.g. its NI's clock domain is gated this
-    /// cycle) and lazily unlisted once its buffer empties.
+    /// Phase 2 (event): only eject ports in `eject_set` are visited, in
+    /// the ascending order the scan engine sweeps them. A port stays in
+    /// the set while flits remain (e.g. its NI's clock domain is gated
+    /// this cycle) and leaves it once its buffer is found empty.
     fn eject_active(&mut self) {
-        if self.active_eject.is_empty() {
-            return;
-        }
         let cycle = self.cycle;
-        std::mem::swap(&mut self.active_eject, &mut self.eject_scratch);
-        if self.eject_dirty {
-            self.eject_scratch.sort_unstable();
-        }
-        self.eject_dirty = false;
-        for k in 0..self.eject_scratch.len() {
-            let port = self.eject_scratch[k];
-            let (ni, l) = self.adj.eject_ports[port as usize];
-            if self.buf_count[l.0] == 0 {
-                self.eject_listed[port as usize] = false;
-                continue;
-            }
-            if self.domains.active(ni, cycle) {
-                self.eject_from_port(ni, l);
-            }
-            if self.buf_count[l.0] > 0 {
-                self.active_eject.push(port);
-            } else {
-                self.eject_listed[port as usize] = false;
+        for w in 0..self.eject_set.len() {
+            let mut word = self.eject_set[w];
+            while word != 0 {
+                let port = (w << 6) | word.trailing_zeros() as usize;
+                word &= word - 1;
+                let (ni, l) = self.adj.eject_ports[port];
+                if self.link_in[l.0].buffered > 0 && self.domains.active(ni, cycle) {
+                    self.eject_from_port(l);
+                }
+                if self.link_in[l.0].buffered == 0 {
+                    clear_bit(&mut self.eject_set, port);
+                }
             }
         }
-        self.eject_scratch.clear();
     }
 
-    /// Consumes up to one flit per VC from eject port `(ni, l)`.
-    fn eject_from_port(&mut self, ni: NodeId, l: LinkId) {
+    /// Consumes up to one flit per VC from the eject port on link `l`.
+    fn eject_from_port(&mut self, l: LinkId) {
         let cycle = self.cycle;
         let measuring = self.measuring();
         for vc in 0..self.cfg.vcs {
-            let Some(flit) = self.buf_pop(l.0 * self.cfg.vcs + vc) else {
+            let p = l.0 * self.cfg.vcs + vc;
+            let old = self.request_of(p);
+            let Some(flit) = self.buf_pop(p) else {
                 continue;
             };
-            self.buf_count[l.0] -= 1;
-            self.node_buffered[ni.0] -= 1;
+            self.refresh(l.0, vc, old);
+            self.link_in[l.0].buffered -= 1;
             self.return_credit(l.0, vc);
             self.ejected_flits_total += 1;
             self.in_network_count -= 1;
@@ -1750,14 +2130,14 @@ impl Simulator {
                 if rejected {
                     self.stats.error_control.e2e_crc_rejections += 1;
                     if let Some(part) = &mut self.part {
-                        let port = self.eject_port_of[l.0];
+                        let port = self.link_in[l.0].eject_port;
                         part.out.nacks.push((port, flit.clone()));
                     } else {
                         self.note_lost_flit(&flit);
                     }
                 } else if let Some(part) = &mut self.part {
                     if self.cfg.recovery.is_some() || protects {
-                        let port = self.eject_port_of[l.0];
+                        let port = self.link_in[l.0].eject_port;
                         part.out
                             .acks
                             .push((port, flit.packet, flit.flow, flit.epoch));
@@ -1789,57 +2169,36 @@ impl Simulator {
         }
     }
 
-    /// Phase 3 (scan): switch output-port allocation and flit transfer.
+    /// Phase 3 (scan): switch output-port allocation and flit transfer,
+    /// at every switch.
     fn traverse(&mut self) {
         let cycle = self.cycle;
-        for s in 0..self.adj.switches.len() {
-            let sw = self.adj.switches[s];
-            // An idle switch (nothing buffered at any input) can have no
-            // arbitration candidates; skip its whole output scan.
-            if self.node_buffered[sw.0] == 0 {
-                continue;
+        for pos in 0..self.adj.switches.len() {
+            if self.domains.active(self.adj.switches[pos], cycle) {
+                self.arbitrate_switch(pos);
             }
-            if !self.domains.active(sw, cycle) {
-                continue;
-            }
-            self.arbitrate_switch(sw);
         }
     }
 
-    /// Phase 3 (event): only switches with buffered input flits
-    /// arbitrate. The list holds positions into `adj.switches` and is
-    /// sorted before use, so arbitration runs in the exact ascending
-    /// switch order of the scan sweep. With next-cycle credit returns
-    /// neighboring switches can no longer observe each other within a
-    /// cycle, but the identical (non-idle) set in identical order keeps
-    /// the sweep trivially bit-equal to the scan engine.
+    /// Phase 3 (event): only switches with a request arbitrate, in the
+    /// ascending switch order of the scan sweep. A switch whose
+    /// buffered flits request nothing (bodies behind an unallocated
+    /// head, heads past a malformed route's end) arbitrates nothing in
+    /// the scan either. Arbitration at one switch only withdraws and
+    /// re-enters requests at that switch's inputs, so the set's words
+    /// can be read as the sweep reaches them.
     fn traverse_active(&mut self) {
-        if self.active_switches.is_empty() {
-            return;
-        }
         let cycle = self.cycle;
-        std::mem::swap(&mut self.active_switches, &mut self.switch_scratch);
-        if self.switch_dirty {
-            self.switch_scratch.sort_unstable();
-        }
-        self.switch_dirty = false;
-        for k in 0..self.switch_scratch.len() {
-            let pos = self.switch_scratch[k];
-            let sw = self.adj.switches[pos as usize];
-            if self.node_buffered[sw.0] == 0 {
-                self.switch_listed[pos as usize] = false;
-                continue;
-            }
-            if self.domains.active(sw, cycle) {
-                self.arbitrate_switch(sw);
-            }
-            if self.node_buffered[sw.0] > 0 {
-                self.active_switches.push(pos);
-            } else {
-                self.switch_listed[pos as usize] = false;
+        for w in 0..self.reqs.active.len() {
+            let mut word = self.reqs.active[w];
+            while word != 0 {
+                let pos = (w << 6) | word.trailing_zeros() as usize;
+                word &= word - 1;
+                if self.domains.active(self.adj.switches[pos], cycle) {
+                    self.arbitrate_switch(pos);
+                }
             }
         }
-        self.switch_scratch.clear();
     }
 
     /// The output link wanted by `front`, the front flit of input port
@@ -1855,152 +2214,74 @@ impl Simulator {
         }
     }
 
-    /// The request-mask bit (relative to `out_range`) of the front flit
-    /// of input port `p`, or 0 when it wants no output of this switch.
-    fn request_bit(&self, p: usize, out_range: (usize, usize)) -> u64 {
-        let desired = self
-            .bufs
-            .front_info(p)
-            .and_then(|front| self.desired_output(p, front));
-        match desired {
-            Some(d) => {
-                let pos = self.out_pos_of[d.0] as usize;
-                if pos >= out_range.0 && pos < out_range.1 {
-                    1 << (pos - out_range.0)
-                } else {
-                    0
-                }
-            }
-            None => 0,
+    /// Arbitrates the requested outputs of the switch at position `pos`
+    /// in ascending output order: an unrequested output has no
+    /// candidate, and a candidate-less [`Self::arbitrate_output`]
+    /// mutates nothing. The masks are read live, so when a transfer
+    /// exposes a new front flit on the popped input, its request counts
+    /// for outputs *later* in the order: earlier outputs were
+    /// arbitrated against the old front, and the just-used output is
+    /// closed by its `launched_at` stamp.
+    ///
+    /// Both engines share this path, so the parity suite cannot check
+    /// it. `tests/data_plane_golden.rs` pins its outcomes to recorded
+    /// data; the proptest `rr_winner_matches_a_naive_cyclic_scan`
+    /// checks the winner rule against a naive scan; and
+    /// `request_index_matches_a_recomputation_after_every_step` (with
+    /// every unsharded step of a debug build) checks the masks it reads
+    /// against a recomputation.
+    fn arbitrate_switch(&mut self, pos: usize) {
+        let sw = self.adj.switches[pos];
+        let out_start = self.adj.out_start[sw.0];
+        let mut from = 0;
+        while let Some(o) = next_bit(self.reqs.outs(pos), from) {
+            self.arbitrate_output(sw, self.adj.out_flat[out_start + o]);
+            from = o + 1;
         }
     }
 
-    /// Arbitrates the outputs of `sw` in ascending output order,
-    /// skipping — without a candidate scan — outputs no buffered front
-    /// flit requests. An unrequested output can have no candidate, and
-    /// a candidate-less [`Self::arbitrate_output`] mutates nothing, so
-    /// the skip is outcome-identical to the full sweep; both engines
-    /// share this path, and the parity suite checks the claim. When a
-    /// transfer exposes a new front flit on the popped input, its
-    /// request is re-added for outputs *later* in the order — exactly
-    /// the set a full sweep would still visit after that transfer
-    /// (earlier outputs were already arbitrated against the old front;
-    /// the just-used output is closed by its `launched_at` stamp).
-    fn arbitrate_switch(&mut self, sw: NodeId) {
-        let out_range = self.adj.outgoing(sw);
-        let (out_start, out_end) = out_range;
-        let width = out_end - out_start;
-        if width == 0 {
-            return;
-        }
-        if width > 64 {
-            // Radix beyond the mask width: plain full sweep.
-            for oi in out_start..out_end {
-                self.arbitrate_output(sw, self.adj.out_flat[oi]);
-            }
-            return;
-        }
-        let vcs = self.cfg.vcs;
-        let (in_start, in_end) = self.adj.incoming(sw);
-        let mut mask: u64 = 0;
-        for pos in in_start..in_end {
-            let in_l = self.adj.in_flat[pos];
-            if self.buf_count[in_l.0] == 0 {
-                continue;
-            }
-            for vc in 0..vcs {
-                mask |= self.request_bit(in_l.0 * vcs + vc, out_range);
-            }
-        }
-        while mask != 0 {
-            let bit = mask.trailing_zeros();
-            mask &= mask - 1;
-            let out_l = self.adj.out_flat[out_start + bit as usize];
-            if let Some((in_l, vc)) = self.arbitrate_output(sw, out_l) {
-                let later = u64::MAX.checked_shl(bit + 1).unwrap_or(0);
-                mask |= self.request_bit(in_l.0 * vcs + vc, out_range) & later;
-            }
-        }
-    }
-
-    /// Allocates one flit (if any) to `out_l` this cycle. Single pass
-    /// over the input ports, no candidate buffer: the round-robin
-    /// winner is the candidate minimizing cyclic distance from the
-    /// pointer, tracked (together with the best GT candidate) as the
-    /// ports are scanned. Returns the `(input, vc)` a flit was popped
-    /// from, so callers can track newly exposed front flits.
-    fn arbitrate_output(&mut self, sw: NodeId, out_l: LinkId) -> Option<(LinkId, usize)> {
+    /// Allocates one flit (if any) to `out_l` this cycle: the
+    /// round-robin winner among the requesting input VCs that pass the
+    /// wormhole-ownership check (GT candidates first under
+    /// [`Arbitration::PriorityThenRoundRobin`]), see [`rr_winner`].
+    fn arbitrate_output(&mut self, sw: NodeId, out_l: LinkId) {
         let cycle = self.cycle;
         if !self.link_up[out_l.0] {
-            return None; // dead output: the fault-drop phase handles its flits
+            return; // dead output: the fault-drop phase handles its flits
         }
         if self.links[out_l.0].launched_at == cycle {
-            return None;
+            return;
         }
         if self.cfg.flow_control == FlowControl::AckNack && cycle < self.links[out_l.0].retry_until
         {
-            return None;
+            return;
         }
         let vcs = self.cfg.vcs;
         let (in_start, in_end) = self.adj.incoming(sw);
         let modulus = (in_end - in_start) * vcs;
-        if modulus == 0 {
-            return None;
-        }
         // The pointer is only ever written below, already reduced.
         let pointer = self.rr[out_l.0] as usize;
         debug_assert!(pointer < modulus, "round-robin pointer in range");
-        // Best = (cyclic distance from pointer, widx, in_l, vc).
-        let mut best: Option<(usize, usize, LinkId, usize)> = None;
-        let mut gt_best: Option<(usize, usize, LinkId, usize)> = None;
-        for pos in 0..in_end - in_start {
-            let in_l = self.adj.in_flat[in_start + pos];
-            if self.buf_count[in_l.0] == 0 {
-                continue;
-            }
-            for vc in 0..vcs {
-                let p = in_l.0 * vcs + vc;
-                let Some(front) = self.bufs.front_info(p) else {
-                    continue;
-                };
-                // A head past its route's end (malformed) or a body flit
-                // whose head is not yet allocated wants nothing.
-                if self.desired_output(p, front) != Some(out_l) {
-                    continue;
-                }
-                // Wormhole ownership per (output, vc).
-                let owner = self.owner[out_l.0 * vcs + vc];
-                let ok = if front.head {
-                    owner == NO_PORT
-                } else {
-                    owner as usize == p
-                };
-                if !ok {
-                    continue;
-                }
-                let widx = pos * vcs + vc;
-                let key = if widx >= pointer {
-                    widx - pointer
-                } else {
-                    widx + modulus - pointer
-                };
-                let cand = Some((key, widx, in_l, vc));
-                if front.gt && gt_best.is_none_or(|(k, ..)| key < k) {
-                    gt_best = cand;
-                }
-                if best.is_none_or(|(k, ..)| key < k) {
-                    best = cand;
-                }
-            }
-        }
-        // GT-priority arbitration considers only GT candidates when at
-        // least one is present.
-        let winner = if self.cfg.arbitration == Arbitration::PriorityThenRoundRobin {
-            gt_best.or(best)
-        } else {
-            best
+        let gt_first = self.cfg.arbitration == Arbitration::PriorityThenRoundRobin;
+        let winner = rr_winner(self.reqs.mask(out_l.0), pointer, gt_first, |b| {
+            let k = self.reqs.input_of_bit[b] as usize;
+            let (in_l, vc) = (self.adj.in_flat[in_start + k], b - k * vcs);
+            let p = in_l.0 * vcs + vc;
+            let front = self.bufs.rings[p].front;
+            // Wormhole ownership per (output, vc).
+            let owner = self.owner[out_l.0 * vcs + vc];
+            let ok = if front.head {
+                owner == NO_PORT
+            } else {
+                owner as usize == p
+            };
+            ok.then_some(front.gt)
+        });
+        let Some(widx) = winner else {
+            return;
         };
-        let (_, widx, in_l, vc) = winner?;
+        let k = self.reqs.input_of_bit[widx] as usize;
+        let (in_l, vc) = (self.adj.in_flat[in_start + k], widx - k * vcs);
 
         // Flow control on the output link.
         if self.credits[out_l.0 * vcs + vc] == 0 {
@@ -2017,15 +2298,14 @@ impl Simulator {
                     self.stats.nack_retries += 1;
                 }
             }
-            return None;
+            return;
         }
 
         // Transfer.
         let mut flit = self
             .buf_pop(in_l.0 * vcs + vc)
             .expect("candidate had a front flit");
-        self.buf_count[in_l.0] -= 1;
-        self.node_buffered[sw.0] -= 1;
+        self.link_in[in_l.0].buffered -= 1;
         self.return_credit(in_l.0, vc);
         if flit.is_head {
             flit.hop += 1;
@@ -2037,9 +2317,9 @@ impl Simulator {
             self.owner[out_l.0 * vcs + vc] = NO_PORT;
             self.route_lock[in_l.0 * vcs + vc] = NO_OUTPUT;
         }
+        self.refresh(in_l.0, vc, out_l.0 as u32);
         self.launch(out_l, flit);
         self.rr[out_l.0] = if widx + 1 == modulus { 0 } else { widx + 1 } as u32;
-        Some((in_l, vc))
     }
 
     /// Phase 4a (scan): every source is polled for a packet each cycle.
@@ -2053,11 +2333,22 @@ impl Simulator {
     /// draw from their private RNG streams whether or not they fire —
     /// the draws must happen to stay bit-identical with the scan
     /// engine), while Constant sources fire off the `const_due` heap and
-    /// cost nothing on idle cycles. The two sets are merged in ascending
-    /// source-index order so the fire/queue pattern matches the scan
-    /// engine's full sweep exactly.
+    /// cost nothing on idle cycles. The polls run first, in one tight
+    /// pass; then the sources that fired and the Constant sources due
+    /// are merged in ascending source-index order, so the fire/queue
+    /// pattern matches the scan engine's full sweep exactly. Polling
+    /// ahead of the emissions reorders no draws: each stream is private,
+    /// and within one stream the poll still precedes the emission's
+    /// route pick.
     fn generate_due(&mut self) {
         let cycle = self.cycle;
+        self.fired_scratch.clear();
+        for k in 0..self.stochastic_sources.len() {
+            let si = self.stochastic_sources[k];
+            if self.poll(si as usize) {
+                self.fired_scratch.push(si);
+            }
+        }
         self.const_scratch.clear();
         while let Some(&Reverse((due, si))) = self.const_due.peek() {
             if due > cycle {
@@ -2076,7 +2367,7 @@ impl Simulator {
         // order / heap tie-break).
         let (mut i, mut j) = (0, 0);
         loop {
-            let s = self.stochastic_sources.get(i).copied();
+            let s = self.fired_scratch.get(i).copied();
             let c = self.const_scratch.get(j).copied();
             let si = match (s, c) {
                 (Some(a), Some(b)) if a < b => {
@@ -2093,18 +2384,36 @@ impl Simulator {
                 }
                 (None, None) => break,
             };
-            self.generate_source(si as usize);
+            self.emit(si as usize);
         }
     }
 
     /// Polls source `si` and queues its packet if the process fires.
     fn generate_source(&mut self, si: usize) {
+        if self.poll(si) {
+            self.emit(si);
+        }
+    }
+
+    /// Whether source `si`'s process fires this cycle. A Poisson poll
+    /// reads only the source's [`SourceDraws`].
+    fn poll(&mut self, si: usize) -> bool {
+        let d = &mut self.draws[si];
+        if d.poisson {
+            bernoulli(&mut d.rng, d.thresholds[0])
+        } else {
+            self.sources[si]
+                .source
+                .process
+                .fire_with(self.cycle, &mut d.rng, d.thresholds)
+        }
+    }
+
+    /// Queues the packet of source `si`, whose process fired this cycle.
+    fn emit(&mut self, si: usize) {
         let cycle = self.cycle;
         let slot = &mut self.sources[si];
-        if !slot.source.process.fire(cycle, &mut slot.rng) {
-            return;
-        }
-        let route = slot.source.destination.pick(&mut slot.rng);
+        let route = slot.source.destination.pick(&mut self.draws[si].rng);
         let packet = PacketId(slot.next_packet);
         slot.next_packet += 1;
         let (vc, priority, flow, rerouted) = (
@@ -2211,34 +2520,25 @@ impl Simulator {
         }
     }
 
-    /// Phase 4b (event): only NIs with queued flits try to inject. The
-    /// list is sorted so NIs run in the ascending `NodeId` order of the
-    /// scan sweep; an NI is retained while flits remain queued (e.g. its
-    /// injection link is faulted or out of credits) and lazily unlisted
-    /// once its queues empty.
+    /// Phase 4b (event): only NIs in `inject_set` try to inject, in the
+    /// ascending `NodeId` order of the scan sweep. An NI stays in the
+    /// set while flits remain queued (e.g. its injection link is
+    /// faulted or out of credits) and leaves it once its queues are
+    /// found empty.
     fn inject_active(&mut self) {
-        if self.active_inject.is_empty() {
-            return;
-        }
-        std::mem::swap(&mut self.active_inject, &mut self.inject_scratch);
-        if self.inject_dirty {
-            self.inject_scratch.sort_unstable();
-        }
-        self.inject_dirty = false;
-        for k in 0..self.inject_scratch.len() {
-            let n = self.inject_scratch[k];
-            if self.queued_at[n as usize] == 0 {
-                self.inject_listed[n as usize] = false;
-                continue;
-            }
-            self.inject_at(NodeId(n as usize));
-            if self.queued_at[n as usize] > 0 {
-                self.active_inject.push(n);
-            } else {
-                self.inject_listed[n as usize] = false;
+        for w in 0..self.inject_set.len() {
+            let mut word = self.inject_set[w];
+            while word != 0 {
+                let n = (w << 6) | word.trailing_zeros() as usize;
+                word &= word - 1;
+                if self.queued_at[n] > 0 {
+                    self.inject_at(NodeId(n));
+                }
+                if self.queued_at[n] == 0 {
+                    clear_bit(&mut self.inject_set, n);
+                }
             }
         }
-        self.inject_scratch.clear();
     }
 
     /// Tries to inject one flit at `ni` this cycle.
@@ -2482,8 +2782,8 @@ impl Simulator {
         );
         self.deliver_due();
         self.eject_active();
-        if self.links_down > 0 || self.drop_locks > 0 {
-            self.drop_blocked_flits();
+        if !self.down_links.is_empty() || self.drop_locks > 0 {
+            self.drop_blocked_active();
         }
         self.traverse_active();
         if self.generation_enabled {
@@ -2541,9 +2841,9 @@ impl Simulator {
     pub(crate) fn part_set_link_state(&mut self, li: usize, up: bool, event: Option<usize>) {
         if self.link_up[li] != up {
             if up {
-                self.links_down -= 1;
+                self.down_links.retain(|&l| l as usize != li);
             } else {
-                self.links_down += 1;
+                self.down_links.push(li as u32);
             }
             self.link_up[li] = up;
         }
@@ -2558,14 +2858,14 @@ impl Simulator {
     pub(crate) fn part_fail_drain(&mut self, link: LinkId, event: usize) -> Vec<Flit> {
         let vcs = self.cfg.vcs;
         let li = link.0;
-        let dst = self.link_dst[li];
         let mut doomed: Vec<Flit> = Vec::new();
         for vc in 0..vcs {
+            let old = self.request_of(li * vcs + vc);
             while let Some(f) = self.buf_pop(li * vcs + vc) {
-                self.buf_count[li] -= 1;
-                self.node_buffered[dst.0] -= 1;
+                self.link_in[li].buffered -= 1;
                 doomed.push(f);
             }
+            self.refresh(li, vc, old);
         }
         let pool = &mut self.pool;
         doomed.extend(
@@ -2650,8 +2950,8 @@ impl Simulator {
             corrupt: 0,
             hop_retries: 0,
         };
-        self.buf_push(li * self.cfg.vcs + vc, tail);
-        self.note_buffered(li);
+        let h = self.pool.insert(tail);
+        self.land(li, vc, h);
         self.injected_flits_total += 1;
         self.in_network_count += 1;
     }
@@ -2684,7 +2984,7 @@ impl Simulator {
         count_rerouted: bool,
     ) {
         for &si in &self.sources_by_ni[ni.0] {
-            let slot = &mut self.sources[si];
+            let (slot, rng) = (&mut self.sources[si], &mut self.draws[si].rng);
             if slot.source.flow != flow {
                 continue;
             }
@@ -2696,7 +2996,7 @@ impl Simulator {
             for f in &mut slot.queue {
                 f.epoch = new_epoch;
                 if f.is_head {
-                    f.route = Some(destination.pick(&mut slot.rng));
+                    f.route = Some(destination.pick(rng));
                     f.hop = 1;
                 }
             }
@@ -2733,8 +3033,10 @@ impl Simulator {
         priority: bool,
         injected_at: u64,
     ) {
-        let slot = &mut self.sources[si];
-        let route = slot.source.destination.pick(&mut slot.rng);
+        let route = self.sources[si]
+            .source
+            .destination
+            .pick(&mut self.draws[si].rng);
         self.queue_packet(si, packet, route, vc, priority, injected_at);
     }
 
@@ -3751,6 +4053,238 @@ mod tests {
         }
     }
 
+    /// The request index and the event sweeps' bitsets, checked against
+    /// a from-scratch recomputation after every single step: on the
+    /// scan and event engines and on every shard of a sharded run, in
+    /// the parity suite's regimes — link faults with flush tails and
+    /// beheaded streams, online recovery with route swaps and
+    /// retransmission, link-level retries, and a switch with more than
+    /// 64 input ports under GT priority, TDMA slots and a divided clock.
+    #[test]
+    fn request_index_matches_a_recomputation_after_every_step() {
+        use crate::recovery::OnlineRecovery;
+        use noc_spec::fault::FaultScenario;
+        use noc_topology::TurnModel;
+
+        let step_checked = |sim: &mut Simulator, rec: Option<&mut OnlineRecovery<'_>>| {
+            sim.step();
+            if let Some(rec) = rec {
+                rec.service(sim);
+            }
+            match sim.shards() {
+                Some(shards) => shards.iter().for_each(Simulator::check_activity),
+                None => sim.check_activity(),
+            }
+        };
+
+        let cores: Vec<CoreId> = (0..16).map(CoreId).collect();
+        let m = mesh(4, 4, &cores, 32).expect("valid");
+        let switch_links: Vec<FaultTarget> = m
+            .topology
+            .links()
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| {
+                m.topology.node(l.src).is_switch() && m.topology.node(l.dst).is_switch()
+            })
+            .map(|(i, _)| FaultTarget::Link(i))
+            .collect();
+        let faults = FaultScenario {
+            faults: 4,
+            window: (100, 900),
+            transient_chance: 128,
+            duration: (50, 300),
+        };
+        let sources = crate::patterns::uniform_random(&m, 0.3, 4).expect("in range");
+        for (workers, scan) in [(1, false), (1, true), (4, false)] {
+            let plan = FaultPlan::generate(5, &switch_links, faults)
+                .with_recovery(RecoveryConfig::default());
+            let cfg = SimConfig::default()
+                .with_warmup(0)
+                .with_error_control(ErrorControl::LinkLevel)
+                .with_partitioned_engine(workers);
+            let sim = Simulator::new(m.topology.clone(), cfg).with_seed(3);
+            sim.check_layout();
+            let mut sim = if scan { sim.with_scan_engine() } else { sim };
+            for s in &sources {
+                sim.add_source(s.clone());
+            }
+            let mut rec = OnlineRecovery::install(&mut sim, &m, TurnModel::NorthLast, &plan)
+                .expect("installs");
+            for _ in 0..1_500 {
+                step_checked(&mut sim, Some(&mut rec));
+            }
+            assert!(sim.dropped_flits_total() > 0, "faults must drop flits");
+        }
+
+        // A hub switch with 17 inputs x 4 VCs = 68 request bits.
+        let mut t = Topology::new("hub");
+        let hub = t.add_switch("hub");
+        let leaf = t.add_switch("leaf");
+        t.connect_duplex(hub, leaf, 32).expect("ok");
+        let nis: Vec<NodeId> = (0..17)
+            .map(|i| {
+                let ni = t.add_ni(format!("ni{i}"), CoreId(i), NiRole::Initiator);
+                t.connect_duplex(ni, if i < 16 { hub } else { leaf }, 32)
+                    .expect("ok");
+                ni
+            })
+            .collect();
+        let route = |t: &Topology, a: NodeId, b: NodeId| -> Arc<[LinkId]> {
+            noc_topology::routing::shortest_path(t, a, b, |_| 1.0)
+                .expect("connected")
+                .links
+                .into()
+        };
+        let mut table = SlotTable::new(8);
+        table.reserve(FlowId(0), 3).expect("fits");
+        // Every fourth NI sends across the leaf link, the rest to
+        // another hub NI.
+        let dst = |i: usize| {
+            if i % 4 == 1 {
+                16
+            } else {
+                (5 * i + 3) % 17 % 16 + 1
+            }
+        };
+        let hub_sources: Vec<TrafficSource> = (0..16)
+            .map(|i| TrafficSource {
+                ni: nis[i],
+                flow: FlowId(i),
+                destination: Destination::Fixed(route(&t, nis[i], nis[dst(i)])),
+                process: InjectionProcess::Poisson { p: 0.12 },
+                packet_flits: 3,
+                vc: i % 4,
+                priority: i % 3 == 0,
+            })
+            .collect();
+        // The leaf switch and its NI run at half rate.
+        let mut spec = noc_spec::AppSpec::builder("hub");
+        let cores: Vec<CoreId> = (0..17)
+            .map(|i| {
+                spec.add_core(
+                    noc_spec::core::Core::new(
+                        format!("c{i}"),
+                        noc_spec::core::CoreRole::MasterSlave,
+                    )
+                    .with_island(noc_spec::IslandId(usize::from(i == 16))),
+                )
+            })
+            .collect();
+        spec.add_flow(noc_spec::TrafficFlow::new(
+            cores[0],
+            cores[1],
+            noc_spec::units::BitsPerSecond::from_mbps(1),
+        ));
+        let spec = spec.build().expect("valid spec");
+        let dividers = std::collections::BTreeMap::from([(noc_spec::IslandId(1), 2)]);
+        let domains = crate::gals::DomainMap::from_islands(&spec, &t, &dividers);
+        let cfg = SimConfig::default()
+            .with_warmup(0)
+            .with_vcs(4)
+            .with_sync_penalty(1)
+            .with_arbitration(crate::config::Arbitration::PriorityThenRoundRobin);
+        for workers in [1, 2] {
+            let mut sim = Simulator::new(t.clone(), cfg.with_partitioned_engine(workers));
+            assert_eq!(sim.reqs.words, 2);
+            sim.check_layout();
+            sim.set_domains(domains.clone());
+            sim.set_slot_table(nis[0], table.clone());
+            for s in &hub_sources {
+                sim.add_source(s.clone());
+            }
+            for _ in 0..2_000 {
+                step_checked(&mut sim, None);
+            }
+            sim.finish();
+            assert!(sim.stats().total_delivered_packets > 100);
+        }
+    }
+
+    /// A head whose route names a link that is not an output of its
+    /// switch arbitrates for nothing and blocks its port; once that link
+    /// goes down the fault-drop phase destroys it, in both engines.
+    #[test]
+    fn stray_head_is_dropped_once_its_link_goes_down() {
+        let (t, ni0, _, route) = line();
+        // Skips the s0 -> s1 hop: at s0 the head wants s1 -> ni1.
+        let stray: Arc<[LinkId]> = vec![route[0], route[2]].into();
+        let plan = FaultPlan::from_events(vec![FaultEvent {
+            target: FaultTarget::Link(route[2].0),
+            start: 30,
+            kind: FaultKind::Permanent,
+        }]);
+        let run = |scan: bool| {
+            let sim = Simulator::new(t.clone(), SimConfig::default().with_warmup(0));
+            let mut sim = if scan { sim.with_scan_engine() } else { sim };
+            sim.add_source(one_shot_source(ni0, stray.clone(), 2));
+            sim.set_fault_plan(&plan).expect("valid plan");
+            for _ in 0..29 {
+                sim.step();
+                sim.check_activity();
+            }
+            assert_eq!(sim.dropped_flits_total(), 0, "blocked, not dropped");
+            assert!(sim.reqs.stray.iter().any(|&w| w != 0), "the head is stray");
+            for _ in 0..20 {
+                sim.step();
+                sim.check_activity();
+            }
+            assert_eq!(sim.dropped_flits_total(), 2, "head and tail dropped");
+            sim.finish();
+            sim.into_stats()
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    /// The naive winner rule the switch phase used to scan for: the
+    /// accepted candidate at the least cyclic distance from the pointer,
+    /// among the GT candidates first when `gt_first` and any exists.
+    fn naive_winner(
+        modulus: usize,
+        pointer: usize,
+        gt_first: bool,
+        candidate: &[bool],
+        gt: &[bool],
+        ok: &[bool],
+    ) -> Option<usize> {
+        let distance = |b: usize| (b + modulus - pointer) % modulus;
+        let best = |only_gt: bool| {
+            (0..modulus)
+                .filter(|&b| candidate[b] && ok[b] && (!only_gt || gt[b]))
+                .min_by_key(|&b| distance(b))
+        };
+        if gt_first {
+            best(true).or_else(|| best(false))
+        } else {
+            best(false)
+        }
+    }
+
+    proptest! {
+        /// `rr_winner` over request-mask words picks exactly the naive
+        /// minimum-cyclic-distance winner, for candidate sets of 1 to
+        /// 128 ports, any GT subset, pointer and ownership verdicts.
+        /// The default case count; CI runs it at `PROPTEST_CASES=512`.
+        #[test]
+        fn rr_winner_matches_a_naive_cyclic_scan(
+            modulus in 1usize..129,
+            pointer_seed in any::<u64>(),
+            gt_first in any::<bool>(),
+            bits in proptest::collection::vec((any::<bool>(), any::<bool>(), any::<bool>()), 128..129),
+        ) {
+            let pointer = (pointer_seed % modulus as u64) as usize;
+            let candidate: Vec<bool> = bits.iter().enumerate().map(|(b, c)| b < modulus && c.0).collect();
+            let gt: Vec<bool> = bits.iter().map(|c| c.1).collect();
+            let ok: Vec<bool> = bits.iter().map(|c| c.2).collect();
+            let mut req = vec![0u64; modulus.div_ceil(64)];
+            for b in (0..modulus).filter(|&b| candidate[b]) {
+                set_bit(&mut req, b);
+            }
+            let got = rr_winner(&req, pointer, gt_first, |b| ok[b].then_some(gt[b]));
+            prop_assert_eq!(got, naive_winner(modulus, pointer, gt_first, &candidate, &gt, &ok));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -3826,6 +4360,7 @@ mod tests {
             sim.set_fault_plan(&plan).expect("targets are real links");
             for _ in 0..800 {
                 sim.step();
+                sim.check_activity();
                 for p in 0..sim.credits.len() {
                     let (link, vc) = (p / vcs, p % vcs);
                     let held = sim.bufs.rings[p].len as usize;

@@ -84,18 +84,37 @@ impl InjectionProcess {
 
     /// Whether a packet is generated this cycle.
     pub fn fire(&mut self, cycle: u64, rng: &mut StdRng) -> bool {
+        let thresholds = self.thresholds();
+        self.fire_with(cycle, rng, thresholds)
+    }
+
+    /// The process's Bernoulli probabilities in integer form,
+    /// `[p, 0]` for Poisson and `[p_on, p_off]` for Bursty (see
+    /// [`bernoulli_threshold`]); zeros for Constant.
+    pub(crate) fn thresholds(&self) -> [u64; 2] {
+        match *self {
+            InjectionProcess::Constant { .. } => [0, 0],
+            InjectionProcess::Poisson { p } => [bernoulli_threshold(p), 0],
+            InjectionProcess::Bursty { p_on, p_off, .. } => {
+                [bernoulli_threshold(p_on), bernoulli_threshold(p_off)]
+            }
+        }
+    }
+
+    /// [`fire`](Self::fire) with the process's [`thresholds`](Self::thresholds)
+    /// computed once by the caller: the same draws, the same outcomes.
+    pub(crate) fn fire_with(&mut self, cycle: u64, rng: &mut StdRng, thresholds: [u64; 2]) -> bool {
         match self {
             InjectionProcess::Constant { period, phase } => cycle % *period == *phase % *period,
-            InjectionProcess::Poisson { p } => rng.gen::<f64>() < *p,
+            InjectionProcess::Poisson { .. } => bernoulli(rng, thresholds[0]),
             InjectionProcess::Bursty {
-                p_on,
-                p_off,
                 spacing,
                 on,
                 next_at,
+                ..
             } => {
                 if !*on {
-                    if rng.gen::<f64>() < *p_on {
+                    if bernoulli(rng, thresholds[0]) {
                         *on = true;
                         *next_at = cycle;
                     } else {
@@ -104,7 +123,7 @@ impl InjectionProcess {
                 }
                 if cycle >= *next_at {
                     *next_at = cycle + *spacing;
-                    if rng.gen::<f64>() < *p_off {
+                    if bernoulli(rng, thresholds[1]) {
                         *on = false;
                     }
                     true
@@ -114,6 +133,23 @@ impl InjectionProcess {
             }
         }
     }
+}
+
+/// The integer threshold `t` with `rng.gen::<f64>() < p` exactly when
+/// the same draw `x` has `x >> 11 < t`. The generator's float is
+/// `(x >> 11) · 2⁻⁵³`, an integer `k < 2⁵³` scaled exactly, and for an
+/// integer `k`, `k < p · 2⁵³` holds exactly when `k < ceil(p · 2⁵³)`;
+/// the scaling by a power of two is exact too. The saturating cast maps
+/// NaN and `p ≤ 0` to 0 (never fires) and huge `p` to `u64::MAX`
+/// (always fires).
+pub(crate) fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli trial against a [`bernoulli_threshold`]: one draw, as
+/// `rng.gen::<f64>()` makes.
+pub(crate) fn bernoulli(rng: &mut StdRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
 }
 
 /// Destination selection of a source: a fixed route (flow-driven) or a
@@ -251,6 +287,52 @@ mod tests {
             "bursts should dominate: {back_to_back}/{}",
             fires.len()
         );
+    }
+
+    /// The integer threshold decides every draw exactly as the float
+    /// comparison does, on edge probabilities and on the draws that sit
+    /// right at each threshold.
+    #[test]
+    fn bernoulli_threshold_matches_the_float_comparison() {
+        let ulp = |k: u64| (k as f64) * (1.0 / (1u64 << 53) as f64);
+        let mut ps = vec![
+            0.0,
+            -0.0,
+            -0.1,
+            f64::NAN,
+            1e-300,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            1.5,
+            f64::INFINITY,
+        ];
+        for k in [1u64, 3, 12_345, 1 << 52, (1 << 53) - 1] {
+            let p = ulp(k);
+            ps.extend([p, p.next_down(), p.next_up()]);
+        }
+        for p in ps {
+            let t = bernoulli_threshold(p);
+            let float = |x: u64| <f64 as rand::Standard>::from_bits(x) < p;
+            for k in [
+                t.saturating_sub(1),
+                t,
+                t.saturating_add(1),
+                0,
+                (1 << 53) - 1,
+            ] {
+                for low in [0, 0x7ff] {
+                    let x = (k.min((1 << 53) - 1) << 11) | low;
+                    assert_eq!((x >> 11) < t, float(x), "p = {p:e}, x = {x:#x}");
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(p.to_bits());
+            for _ in 0..100_000 {
+                let mut twin = rng.clone();
+                assert_eq!(bernoulli(&mut twin, t), rng.gen::<f64>() < p, "p = {p:e}");
+                assert_eq!(twin, rng, "one draw either way");
+            }
+        }
     }
 
     #[test]
